@@ -12,6 +12,9 @@ variable: when set, fatBIN loads ignore embedded cuBINs and JIT the PTX
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,9 +25,14 @@ from repro.driver.module import CUfunction, CUmodule
 from repro.gpu.context import Context
 from repro.gpu.device import Device
 from repro.gpu.executor import LaunchResult
+from repro.gpu.specs import DeviceSpec
 from repro.gpu.stream import Stream
 from repro.ptx.ast import Module
-import zlib
+
+#: Distinct module texts one driver keeps compiled for reuse. The memo
+#: saves simulator wall-clock only: every load is still charged its
+#: modelled JIT cost.
+JIT_MEMO_CAP = 64
 
 
 @dataclass
@@ -44,6 +52,10 @@ class DriverAPI:
         self.device = device
         self.force_ptx_jit = force_ptx_jit
         self.stats = DriverStats()
+        #: (PTX text, spec) -> compiled module, least recently used
+        #: first. Successful compilations only.
+        self._jit_memo: OrderedDict[tuple[str, DeviceSpec],
+                                    CompiledModule] = OrderedDict()
 
     # -- context management ----------------------------------------------------
 
@@ -81,7 +93,7 @@ class DriverAPI:
         uses it to keep a tenant's statics inside the tenant's own
         partition, so fenced addresses remain valid for them.
         """
-        compiled = jit_compile(ptx_text, self.device.spec)
+        compiled = self._jit(ptx_text)
         return self._load_compiled(context, compiled,
                                    allocate_global=allocate_global)
 
@@ -101,7 +113,7 @@ class DriverAPI:
             # decode them; extraction tools cannot.
             _, _, compressed = cubin.payload.partition(b"\x00" + arch.encode() + b"\x00")
             ptx_text = zlib.decompress(compressed).decode("utf-8")
-            compiled = jit_compile(ptx_text, self.device.spec)
+            compiled = self._jit(ptx_text)
             compiled.jit_cycles = 0  # native code: no JIT cost
             module = self._load_compiled(context, compiled)
             self.stats.modules_from_cubin += 1
@@ -114,6 +126,29 @@ class DriverAPI:
             )
         return self.cuModuleLoadData(context, ptx_entries[-1].ptx_text())
 
+    def _jit(self, source: Union[str, Module]) -> CompiledModule:
+        """JIT-compile ``source`` for this device, reusing an earlier
+        compilation of the same text.
+
+        Every call returns its own :class:`CompiledModule`, so a load
+        may change its ``jit_cycles`` alone; the parsed module and the
+        compiled kernels are shared. Already-parsed modules are
+        mutable and are compiled afresh.
+        """
+        spec = self.device.spec
+        if not isinstance(source, str):
+            return jit_compile(source, spec)
+        key = (source, spec)
+        compiled = self._jit_memo.get(key)
+        if compiled is None:
+            compiled = jit_compile(source, spec)
+            self._jit_memo[key] = compiled
+            if len(self._jit_memo) > JIT_MEMO_CAP:
+                self._jit_memo.popitem(last=False)
+        else:
+            self._jit_memo.move_to_end(key)
+        return dataclasses.replace(compiled)
+
     def _load_compiled(self, context: Context, compiled: CompiledModule,
                        allocate_global=None) -> CUmodule:
         module = CUmodule(compiled=compiled, context_id=context.context_id)
@@ -123,7 +158,6 @@ class DriverAPI:
             else:
                 address = self.device.allocate(context, size)
             module.global_addresses[name] = address
-        compiled.bind_globals(module.global_addresses)
         self.stats.modules_loaded += 1
         self.stats.jit_cycles += compiled.jit_cycles
         return module
@@ -179,6 +213,7 @@ class DriverAPI:
         return self.device.submit_kernel(
             stream, function.compiled, grid, block, params, tag=tag,
             release_cycles=release_cycles,
+            global_addresses=function.module.global_addresses,
         )
 
     # -- misc ---------------------------------------------------------------------------

@@ -33,7 +33,12 @@ JIT_CYCLES_PER_KERNEL = 3_000_000
 
 @dataclass
 class CompiledModule:
-    """A JIT-compiled module, ready to be loaded into a context."""
+    """A JIT-compiled module, ready to be loaded into a context.
+
+    ``module`` and ``kernels`` hold no per-load state, so loads of the
+    same text may share them; ``jit_cycles`` is what this one load is
+    charged.
+    """
 
     module: Module
     kernels: dict[str, CompiledKernel]
@@ -41,11 +46,6 @@ class CompiledModule:
     #: module-scope .global arrays (name -> size bytes), allocated when
     #: the module is loaded into a context.
     global_arrays: dict[str, int] = field(default_factory=dict)
-
-    def bind_globals(self, addresses: dict[str, int]) -> None:
-        """Resolve .global symbols to device addresses (at load time)."""
-        for compiled in self.kernels.values():
-            compiled.global_symbols.update(addresses)
 
 
 def jit_compile(source: Union[str, Module],
@@ -61,8 +61,9 @@ def jit_compile(source: Union[str, Module],
     else:
         module = source
     validate_module(module)
+    global_names = frozenset(decl.name for decl in module.globals)
     kernels = {
-        kernel.name: compile_kernel(kernel, spec)
+        kernel.name: compile_kernel(kernel, spec, global_names=global_names)
         for kernel in module.kernels.values()
     }
     if not kernels:

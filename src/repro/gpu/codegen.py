@@ -346,7 +346,7 @@ class KernelCodegen:
             name = operand.name
             if name in self.ck.shared_layout:
                 return repr(self.ck.shared_layout[name])
-            if name not in self.ck.global_symbols:
+            if name not in self.ck.global_names:
                 raise ExecutionError(f"unresolved symbol {name!r}")
             return f"_gsyms[{name!r}]"
         raise ExecutionError(f"cannot generate operand {operand!r}")
@@ -359,7 +359,7 @@ class KernelCodegen:
             name = base.name
             if name in self.ck.shared_layout:
                 expr = repr(self.ck.shared_layout[name])
-            elif name not in self.ck.global_symbols:
+            elif name not in self.ck.global_names:
                 raise ExecutionError(f"unresolved symbol {name!r}")
             else:
                 expr = f"_gsyms[{name!r}]"
@@ -708,7 +708,7 @@ class KernelCodegen:
         block_of = {leader: bid for bid, leader in enumerate(ordered)}
 
         gen = self.gen
-        gen.emit("def _thread(t, params, shared):")
+        gen.emit("def _thread(t, params, shared, _gsyms):")
         gen.indent += 1
         gen.emit("_cycles = 0; _instr = 0; _loads = 0; _stores = 0")
         gen.emit("_steps = 0")
@@ -834,12 +834,12 @@ def compile_thread_function(compiled, cost_model: CostModel,
 
     ``memory_env`` comes from :func:`make_memory_helpers` (bound to the
     executing device). The result is a generator function
-    ``_thread(t, params, shared)``.
+    ``_thread(t, params, shared, _gsyms)``; ``_gsyms`` maps the
+    kernel's module globals to the launched module's addresses.
     """
     source = KernelCodegen(compiled, cost_model).generate()
     env = dict(_BASE_ENV)
     env.update(memory_env)
-    env["_gsyms"] = compiled.global_symbols
     from repro.gpu.executor import _local as local_buffer
 
     env["_local"] = local_buffer

@@ -21,6 +21,7 @@ use explicit single-stream ordering).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,6 +74,9 @@ class Device:
         #: tasks the timeline just resolved. None = stock device.
         self.telemetry = None
         self._pending: list[GpuTask] = []
+        #: Unresolved tasks per stream key, kept in step with
+        #: ``_pending`` so a stream sync costs O(1), not a scan.
+        self._pending_per_stream: Counter = Counter()
         self._keep_launch_results = keep_launch_results
         #: Sampling knob for large grids (None = execute every block).
         self.max_blocks_per_launch: Optional[int] = None
@@ -116,22 +120,25 @@ class Device:
         params: list,
         tag: str = "",
         release_cycles: float = 0.0,
+        global_addresses: Optional[dict[str, int]] = None,
     ) -> LaunchResult:
         """Execute a kernel functionally and queue its timing task.
 
         ``release_cycles`` is the device-clock time at which the
         submitting host finished issuing the launch (see
-        :class:`repro.gpu.timeline.GpuTask`).
+        :class:`repro.gpu.timeline.GpuTask`). ``global_addresses`` are
+        the launched module's .global array addresses.
         """
         result = self.executor.launch(
             compiled, grid, block, params,
             max_blocks=self.max_blocks_per_launch,
+            global_addresses=global_addresses,
         )
         stream.note_submit(release_cycles)
         self.metrics.kernels_launched += 1
         if self._keep_launch_results:
             self.metrics.launch_results.append(result)
-        self._pending.append(
+        self._enqueue(
             GpuTask(
                 kind="kernel",
                 context_id=stream.context_id,
@@ -151,7 +158,7 @@ class Device:
         self.memory.write(dst, data)
         self.metrics.h2d_copies += 1
         self.metrics.bytes_h2d += len(data)
-        self._pending.append(self._copy_task(
+        self._enqueue(self._copy_task(
             "h2d", stream, len(data), self.spec.pcie_bw_gbps, tag,
             release_cycles,
         ))
@@ -161,7 +168,7 @@ class Device:
         data = self.memory.read(src, size)
         self.metrics.d2h_copies += 1
         self.metrics.bytes_d2h += size
-        self._pending.append(self._copy_task(
+        self._enqueue(self._copy_task(
             "d2h", stream, size, self.spec.pcie_bw_gbps, tag,
             release_cycles,
         ))
@@ -171,7 +178,7 @@ class Device:
                    tag: str = "", release_cycles: float = 0.0) -> None:
         self.memory.write(dst, self.memory.read(src, size))
         self.metrics.d2d_copies += 1
-        self._pending.append(self._copy_task(
+        self._enqueue(self._copy_task(
             "d2d", stream, size, self.spec.global_bw_gbps, tag,
             release_cycles,
         ))
@@ -180,10 +187,14 @@ class Device:
                       tag: str = "", release_cycles: float = 0.0) -> None:
         self.memory.fill(dst, size, value)
         self.metrics.d2d_copies += 1
-        self._pending.append(self._copy_task(
+        self._enqueue(self._copy_task(
             "d2d", stream, size, self.spec.global_bw_gbps, tag,
             release_cycles,
         ))
+
+    def _enqueue(self, task: GpuTask) -> None:
+        self._pending.append(task)
+        self._pending_per_stream[task.stream_key] += 1
 
     def _copy_task(self, kind: str, stream: Stream, size: int,
                    bw_gbps: float, tag: str,
@@ -219,6 +230,7 @@ class Device:
         resolved = self._pending
         result = timeline.run(resolved, start_cycles=base)
         self._pending = []
+        self._pending_per_stream.clear()
         self.clock_cycles += result.makespan_cycles
         self.metrics.total_cycles += result.makespan_cycles
         self.metrics.context_switches += result.context_switches
@@ -260,9 +272,7 @@ class Device:
         submission, and the wait itself is resolved by the next
         :meth:`synchronize` timeline pass.
         """
-        return sum(
-            1 for task in self._pending if task.stream_key == stream.key
-        )
+        return self._pending_per_stream[stream.key]
 
     def elapsed_seconds(self) -> float:
         return self.spec.cycles_to_seconds(self.clock_cycles)

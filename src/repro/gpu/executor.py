@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import ExecutionError, LaunchError
@@ -89,9 +90,14 @@ class DecodedInstr:
     compare: Optional[str] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class CompiledKernel:
-    """A kernel after 'JIT': decoded body plus register allocation."""
+    """A kernel after 'JIT': decoded body plus register allocation.
+
+    Never changed once built and shared by every load of the same
+    module text, so it hashes by identity and holds no per-load state:
+    the addresses of module globals arrive with each launch.
+    """
 
     kernel: Kernel
     instructions: list[DecodedInstr]
@@ -100,8 +106,8 @@ class CompiledKernel:
     shared_bytes: int
     allocation: RegisterAllocation
     allocation_o0: RegisterAllocation
-    #: Filled by the module loader with module-scope .global addresses.
-    global_symbols: dict[str, int] = field(default_factory=dict)
+    #: Names of the module-scope .global arrays the kernel may address.
+    global_names: frozenset[str] = frozenset()
 
     @property
     def name(self) -> str:
@@ -113,11 +119,14 @@ class CompiledKernel:
 
 
 def compile_kernel(kernel: Kernel, spec: DeviceSpec,
-                   cost_model: Optional[CostModel] = None) -> CompiledKernel:
+                   cost_model: Optional[CostModel] = None,
+                   global_names: frozenset[str] = frozenset(),
+                   ) -> CompiledKernel:
     """Decode a kernel body into executable form.
 
     Mirrors ``ptxas``: resolves labels, lays out shared memory, runs
     register allocation (both O0 and O3, so Fig. 10 can compare).
+    ``global_names`` are the module's .global arrays.
     """
     cost_model = cost_model or CostModel(spec)
 
@@ -153,6 +162,7 @@ def compile_kernel(kernel: Kernel, spec: DeviceSpec,
         shared_bytes=shared_bytes,
         allocation=allocate(kernel, spec.registers_per_thread, "O3"),
         allocation_o0=allocate(kernel, spec.registers_per_thread, "O0"),
+        global_names=global_names,
     )
 
 
@@ -237,6 +247,8 @@ class _Thread:
     ntid: tuple[int, int, int]
     nctaid: tuple[int, int, int]
     shared: bytearray
+    #: The launch's module-global addresses (name -> device address).
+    gsyms: dict
     cycles: int = 0
     instructions: int = 0
     loads: int = 0
@@ -270,7 +282,11 @@ class KernelExecutor:
         self.cost_model = CostModel(spec)
         self.use_codegen = use_codegen
         self._codegen_env: Optional[dict] = None
-        self._thread_functions: dict[int, object] = {}
+        #: Generated thread functions, keyed on the kernel itself so an
+        #: entry dies with its kernel and never serves another's code.
+        self._thread_functions: weakref.WeakKeyDictionary = (
+            weakref.WeakKeyDictionary()
+        )
 
     # -- public API -----------------------------------------------------------
 
@@ -281,11 +297,14 @@ class KernelExecutor:
         block: tuple[int, int, int],
         params: list,
         max_blocks: Optional[int] = None,
+        global_addresses: Optional[dict[str, int]] = None,
     ) -> LaunchResult:
         """Run a grid and return its metrics.
 
         ``params`` are the kernel arguments in declaration order
         (integers for pointer/integer params, floats for f32/f64).
+        ``global_addresses`` maps the kernel's module globals to the
+        device addresses of the loaded module being launched.
         """
         if len(params) != compiled.num_params:
             raise LaunchError(
@@ -308,6 +327,12 @@ class KernelExecutor:
         total_blocks = gx * gy * gz
         block_ids = _select_blocks(total_blocks, max_blocks)
         scale = total_blocks / len(block_ids)
+        gsyms = global_addresses or {}
+        if not compiled.global_names <= gsyms.keys():
+            raise LaunchError(
+                f"kernel {compiled.name!r}: no address for module "
+                f"global(s) {sorted(compiled.global_names - gsyms.keys())}"
+            )
 
         total_warp_cycles = 0.0
         instructions = 0
@@ -316,7 +341,7 @@ class KernelExecutor:
         for linear_block in block_ids:
             block_metrics = self._run_block(
                 compiled, _unlinearise(linear_block, grid), grid, block,
-                params,
+                params, gsyms,
             )
             total_warp_cycles += block_metrics[0]
             instructions += block_metrics[1]
@@ -363,6 +388,7 @@ class KernelExecutor:
         grid: tuple[int, int, int],
         block: tuple[int, int, int],
         params: list,
+        gsyms: dict[str, int],
     ) -> tuple[float, int, int, int]:
         bx, by, bz = block
         shared = bytearray(max(compiled.shared_bytes, 1))
@@ -379,6 +405,7 @@ class KernelExecutor:
                             ntid=block,
                             nctaid=grid,
                             shared=shared,
+                            gsyms=gsyms,
                             lane=linear % self.spec.warp_size,
                             warp=linear // self.spec.warp_size,
                         )
@@ -387,7 +414,8 @@ class KernelExecutor:
         thread_fn = self._thread_fn(compiled)
         if thread_fn is not None:
             runners = [
-                thread_fn(thread, params, shared) for thread in threads
+                thread_fn(thread, params, shared, gsyms)
+                for thread in threads
             ]
         else:
             runners = [
@@ -429,7 +457,7 @@ class KernelExecutor:
         interpreter is forced)."""
         if not self.use_codegen:
             return None
-        cached = self._thread_functions.get(id(compiled))
+        cached = self._thread_functions.get(compiled)
         if cached is None:
             from repro.gpu import codegen
 
@@ -440,7 +468,7 @@ class KernelExecutor:
             cached = codegen.compile_thread_function(
                 compiled, self.cost_model, self._codegen_env
             )
-            self._thread_functions[id(compiled)] = cached
+            self._thread_functions[compiled] = cached
         return cached
 
     def _run_thread(self, compiled: CompiledKernel, thread: _Thread,
@@ -509,8 +537,8 @@ class KernelExecutor:
             name = operand.name
             if name in compiled.shared_layout:
                 return compiled.shared_layout[name]
-            if name in compiled.global_symbols:
-                return compiled.global_symbols[name]
+            if name in thread.gsyms:
+                return thread.gsyms[name]
             raise ExecutionError(f"unresolved symbol {name!r}")
         raise ExecutionError(f"cannot evaluate operand {operand!r}")
 
@@ -744,8 +772,8 @@ class KernelExecutor:
         name = base.name
         if name in compiled.shared_layout:
             return compiled.shared_layout[name] + memref.offset
-        if name in compiled.global_symbols:
-            return compiled.global_symbols[name] + memref.offset
+        if name in thread.gsyms:
+            return thread.gsyms[name] + memref.offset
         raise ExecutionError(f"cannot address symbol {name!r}")
 
     def _load(self, compiled: CompiledKernel, ins: DecodedInstr,

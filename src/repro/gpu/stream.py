@@ -20,8 +20,6 @@ class Stream:
 
     context_id: int
     stream_id: int = field(default_factory=_STREAM_IDS.__next__)
-    #: Sequence numbers of tasks submitted and not yet synchronised.
-    pending_tasks: int = 0
     #: Sticky asynchronous fault, modelled after CUDA's sticky context
     #: errors: ``None`` while healthy; once set, the fault surfaces at
     #: every subsequent ordering point (launch, synchronize) until the

@@ -1,10 +1,14 @@
 """Driver JIT and cu* API tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from repro.errors import DriverError, PTXError
-from repro.driver.api import DriverAPI
+from repro.errors import DriverError, LaunchError, PTXError
+from repro.core.policy import FencingMode
+from repro.core.server import GuardianServer
+from repro.driver.api import JIT_MEMO_CAP, DriverAPI
 from repro.driver.fatbin import build_fatbin
 from repro.driver.jit import JIT_CYCLES_PER_KERNEL, jit_compile
 from repro.gpu.device import Device
@@ -12,6 +16,10 @@ from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.ptx import emit_module
 
 from tests.conftest import saxpy_module
+
+#: Uses an undeclared register: ptxas rejects it.
+BAD_PTX = (".version 7.5\n.target sm_86\n.address_size 64\n"
+           ".visible .entry k()\n{\nmov.u32 %r1, 1;\nret;\n}")
 
 
 @pytest.fixture
@@ -39,10 +47,8 @@ class TestJIT:
         assert compiled.jit_cycles == JIT_CYCLES_PER_KERNEL
 
     def test_invalid_ptx_rejected(self):
-        bad = (".version 7.5\n.target sm_86\n.address_size 64\n"
-               ".visible .entry k()\n{\nmov.u32 %r1, 1;\nret;\n}")
         with pytest.raises(PTXError):
-            jit_compile(bad, QUADRO_RTX_A4000)
+            jit_compile(BAD_PTX, QUADRO_RTX_A4000)
 
     def test_empty_module_rejected(self):
         with pytest.raises(PTXError):
@@ -147,3 +153,107 @@ class TestGlobals:
         assert module.global_addresses["table"] == (
             device.memory.base + 0x9000
         )
+
+
+#: A module-scope array, stored through a register holding its address
+#: and loaded through a symbol-based memory operand.
+SLOT_PTX = (
+    ".version 7.5\n.target sm_86\n.address_size 64\n"
+    ".global .align 4 .u32 slot[4];\n"
+    ".visible .entry stash(\n.param .u32 stash_value\n)\n{\n"
+    ".reg .b32 %r<2>;\n.reg .b64 %rd<2>;\n"
+    "ld.param.u32 %r1, [stash_value];\n"
+    "mov.u64 %rd1, slot;\n"
+    "st.global.u32 [%rd1+4], %r1;\nret;\n}\n"
+    ".visible .entry fetch(\n.param .u64 fetch_out\n)\n{\n"
+    ".reg .b32 %r<2>;\n.reg .b64 %rd<2>;\n"
+    "ld.param.u64 %rd1, [fetch_out];\n"
+    "ld.global.u32 %r1, [slot+4];\n"
+    "st.global.u32 [%rd1], %r1;\nret;\n}\n"
+)
+
+
+class TestJITMemo:
+    @pytest.mark.parametrize("use_codegen", [True, False])
+    def test_shared_kernels_address_each_tenants_globals(self, use_codegen):
+        device = Device(QUADRO_RTX_A4000)
+        device.executor.use_codegen = use_codegen
+        server = GuardianServer(device, FencingMode.BITWISE)
+        values = {"alice": 111, "bob": 222}
+        handles = {}
+        for pad, app in enumerate(values):
+            server.attach(app, 1 << 20)
+            if pad:
+                # Different partition offsets, so the fence cannot map
+                # one tenant's slot address onto the other's.
+                server.malloc(app, 256 * pad)
+            handles[app], _ = server.load_module_ptx(app, SLOT_PTX)
+        for app, value in values.items():
+            server.launch_kernel(app, handles[app]["stash"], (1, 1, 1),
+                                 (1, 1, 1), [value])
+        stash = {
+            app: server._tenant(app).functions[handles[app]["stash"]][0]
+            for app in values
+        }
+        # One compilation serves both loads.
+        assert stash["alice"].compiled is stash["bob"].compiled
+        for app, value in values.items():
+            out, _ = server.malloc(app, 4)
+            server.launch_kernel(app, handles[app]["fetch"], (1, 1, 1),
+                                 (1, 1, 1), [out])
+            data, _ = server.memcpy_d2h(app, out, 4)
+            assert struct.unpack("<I", data)[0] == value
+            slot = stash[app].module.global_addresses["slot"]
+            partition = server.allocator.partition(app)
+            assert partition.base <= slot < partition.base + partition.size
+            assert struct.unpack(
+                "<I", device.memory.read(slot + 4, 4))[0] == value
+
+    def test_launch_needs_the_modules_global_addresses(self, device):
+        stash = jit_compile(SLOT_PTX, device.spec).kernels["stash"]
+        assert stash.global_names == {"slot"}
+        with pytest.raises(LaunchError, match="slot"):
+            device.executor.launch(stash, (1, 1, 1), (1, 1, 1), [7])
+
+    def test_cubin_load_leaves_ptx_jit_charge(self, device):
+        driver = DriverAPI(device, force_ptx_jit=False)
+        context = driver.cuCtxCreate("app")
+        fatbin = build_fatbin(saxpy_module(), "lib", "12.0")
+        from_cubin = driver.cuModuleLoadFatBinary(context, fatbin)
+        assert driver.stats.modules_from_cubin == 1
+        assert from_cubin.compiled.jit_cycles == 0
+        assert driver.stats.jit_cycles == 0
+        from_ptx = driver.cuModuleLoadData(
+            context, fatbin.ptx_entries()[-1].ptx_text())
+        assert from_ptx.compiled.kernels is from_cubin.compiled.kernels
+        assert from_ptx.compiled.jit_cycles == JIT_CYCLES_PER_KERNEL
+        assert driver.stats.jit_cycles == JIT_CYCLES_PER_KERNEL
+
+    def test_every_load_is_charged(self, driver):
+        context = driver.cuCtxCreate("app")
+        text = emit_module(saxpy_module())
+        for loads in range(1, 4):
+            driver.cuModuleLoadData(context, text)
+            assert driver.stats.modules_loaded == loads
+            assert driver.stats.jit_cycles == loads * JIT_CYCLES_PER_KERNEL
+
+    def test_malformed_ptx_never_memoized(self, driver):
+        context = driver.cuCtxCreate("app")
+        for _ in range(3):
+            with pytest.raises(PTXError):
+                driver.cuModuleLoadData(context, BAD_PTX)
+        assert len(driver._jit_memo) == 0
+        assert driver.stats.modules_loaded == 0
+
+    def test_memo_stays_within_cap(self, driver):
+        context = driver.cuCtxCreate("app")
+        text = emit_module(saxpy_module())
+        texts = [f"// variant {i}\n{text}" for i in range(JIT_MEMO_CAP + 4)]
+        first = driver.cuModuleLoadData(context, texts[0])
+        for variant in texts[1:]:
+            driver.cuModuleLoadData(context, variant)
+            assert len(driver._jit_memo) <= JIT_MEMO_CAP
+        assert len(driver._jit_memo) == JIT_MEMO_CAP
+        # The least recently used text was evicted and compiles afresh.
+        again = driver.cuModuleLoadData(context, texts[0])
+        assert again.compiled.kernels is not first.compiled.kernels

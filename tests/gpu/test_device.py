@@ -1,5 +1,7 @@
 """Device facade tests: contexts, allocation, submission, sync."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,45 @@ class TestSubmission:
         context = device.create_context("a")
         with pytest.raises(AllocationError):
             device.allocate(context, device.spec.global_memory_bytes + 1)
+
+
+class TestStreamPending:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_a_scan_of_pending(self, device, seed):
+        """A random interleaving of submissions over several contexts
+        and streams, with device syncs mixed in: the per-stream count
+        always equals a scan of the pending list."""
+        rng = random.Random(seed)
+        compiled = compile_kernel(saxpy_kernel(), device.spec)
+        streams, buffers = [], {}
+        for index in range(3):
+            context = device.create_context(f"c{index}")
+            buffers[context.context_id] = device.allocate(context, 4096)
+            streams += [context.default_stream, context.create_stream(),
+                        context.create_stream()]
+        submits = (
+            lambda s, a: device.submit_h2d(s, a, b"\x01" * 64),
+            lambda s, a: device.submit_d2h(s, a, 64),
+            lambda s, a: device.submit_d2d(s, a + 1024, a, 64),
+            lambda s, a: device.submit_memset(s, a, 0x5A, 64),
+            lambda s, a: device.submit_kernel(
+                s, compiled, (1, 1, 1), (16, 1, 1),
+                [a, a + 2048, 2.0, 16]),
+        )
+        for _ in range(400):
+            if rng.random() < 0.05:
+                device.synchronize()
+                assert all(device.stream_pending(s) == 0 for s in streams)
+            else:
+                stream = rng.choice(streams)
+                rng.choice(submits)(stream, buffers[stream.context_id])
+            for stream in streams:
+                assert device.stream_pending(stream) == sum(
+                    task.stream_key == stream.key
+                    for task in device._pending
+                )
+        device.synchronize()
+        assert all(device.stream_pending(s) == 0 for s in streams)
 
 
 class TestSpecs:
