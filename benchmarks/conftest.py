@@ -48,6 +48,51 @@ def emit_bench_json(name: str, payload: dict) -> Path:
     return path
 
 
+def run_sharing_workload(tenants: int, iterations: int, sync_every: int,
+                         config):
+    """The multi-tenant sharing loop several benchmarks measure.
+
+    ``tenants`` tenants deploy the same library fatBIN, then each
+    iterates (h2d, h2d, launch), synchronising every ``sync_every``
+    iterations — the fixed loop the trace recorder sees as a stable
+    sync-delimited block. Returns ``(server, clients)``.
+    """
+    import numpy as np
+
+    from repro.core.policy import FencingMode
+    from repro.core.server import GuardianServer
+    from repro.driver.fatbin import build_fatbin
+    from repro.gpu.device import Device
+    from repro.gpu.specs import QUADRO_RTX_A4000
+
+    from tests.conftest import make_guardian_tenant, saxpy_module
+
+    device = Device(QUADRO_RTX_A4000)
+    server = GuardianServer(device, FencingMode.BITWISE, config=config)
+    deployed = []
+    for index in range(tenants):
+        client, _ = make_guardian_tenant(server, f"tenant{index}", 1 << 20)
+        # Rebuilt per tenant on purpose: distinct FatBinary objects
+        # with identical content exercise the content-addressed keys —
+        # the multi-tenant same-library deployment pattern.
+        handles = client.register_fatbin(
+            build_fatbin(saxpy_module(), "libsaxpy", "11.7"))
+        deployed.append((client, handles["saxpy"], client.malloc(512)))
+
+    payload = np.ones(16, dtype=np.float32).tobytes()
+    for iteration in range(iterations):
+        for client, handle, buf in deployed:
+            client.memcpy_h2d(buf, payload)
+            client.memcpy_h2d(buf + 256, payload)
+            client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
+                                 [buf, buf + 256, 2.0, 16])
+        if (iteration + 1) % sync_every == 0:
+            for client, _, _ in deployed:
+                client.synchronize()
+    device.synchronize(spatial=True)
+    return server, [client for client, _, _ in deployed]
+
+
 def print_table(title: str, headers, rows) -> None:
     from repro.analysis.reporting import render_table
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
-
 from repro.analysis.metrics import collect_all
 from repro.analysis.reporting import render_lane_report
 from repro.core.patcher import (
@@ -30,19 +28,19 @@ from repro.core.patcher import (
     ThreadSafePatchCache,
 )
 from repro.core.policy import FencingMode
-from repro.core.server import GuardianServer, ServerConfig
-from repro.driver.fatbin import build_fatbin
-from repro.gpu.device import Device
-from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.core.server import ServerConfig
 from repro.ptx.emitter import emit_module
 
-from benchmarks.conftest import emit_bench_json, print_table
-from tests.conftest import make_guardian_tenant, saxpy_module
+from benchmarks.conftest import (
+    emit_bench_json,
+    print_table,
+    run_sharing_workload,
+)
+from tests.conftest import saxpy_module
 
 TENANT_COUNTS = (1, 2, 4, 8)
 ITERATIONS = 25
 SYNC_EVERY = 5
-PARTITION = 1 << 20
 
 #: The CI gate (mirrored in bench_baseline.json): 8 independent
 #: tenants must overlap to at least this modelled speedup.
@@ -51,34 +49,6 @@ SPEEDUP_FLOOR_8_TENANTS = 2.5
 #: Cold-patch wall-clock floor: single-flight dedup must beat
 #: per-tenant private patching even with thread overhead.
 PATCH_WALLCLOCK_FLOOR = 1.5
-
-
-def run_sharing_workload(tenants: int, config: ServerConfig):
-    """``tenants`` independent tenants deploy the same library and
-    iterate (h2d, h2d, launch), synchronising every SYNC_EVERY."""
-    device = Device(QUADRO_RTX_A4000)
-    server = GuardianServer(device, FencingMode.BITWISE, config=config)
-
-    handles = []
-    for index in range(tenants):
-        client, _ = make_guardian_tenant(server, f"t{index}", PARTITION)
-        kernel = client.register_fatbin(
-            build_fatbin(saxpy_module(), "libsaxpy", "11.7"))["saxpy"]
-        buf = client.malloc(512)
-        handles.append((client, kernel, buf))
-
-    payload = np.ones(16, dtype=np.float32).tobytes()
-    for iteration in range(ITERATIONS):
-        for client, kernel, buf in handles:
-            client.memcpy_h2d(buf, payload)
-            client.memcpy_h2d(buf + 256, payload)
-            client.launch_kernel(kernel, (1, 1, 1), (16, 1, 1),
-                                 [buf, buf + 256, 2.0, 16])
-        if (iteration + 1) % SYNC_EVERY == 0:
-            for client, _, _ in handles:
-                client.synchronize()
-    device.synchronize(spatial=True)
-    return server
 
 
 def cold_patch_arms(tenants: int = 8, texts: int = 3, repeats: int = 3):
@@ -131,9 +101,11 @@ class TestMultiTenantScaling:
         def sweep():
             points = []
             for tenants in TENANT_COUNTS:
-                serial = run_sharing_workload(tenants, ServerConfig())
-                concurrent = run_sharing_workload(
-                    tenants, ServerConfig.concurrent())
+                serial, _ = run_sharing_workload(
+                    tenants, ITERATIONS, SYNC_EVERY, ServerConfig())
+                concurrent, _ = run_sharing_workload(
+                    tenants, ITERATIONS, SYNC_EVERY,
+                    ServerConfig.concurrent())
                 points.append((tenants, serial, concurrent))
             return points
 

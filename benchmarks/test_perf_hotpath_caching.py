@@ -12,8 +12,6 @@ paper's Table 5 breakdown below.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.metrics import collect_all
 from repro.analysis.reporting import render_hotpath_report
 from repro.core.policy import FencingMode
@@ -22,47 +20,17 @@ from repro.driver.fatbin import build_fatbin
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
 
-from benchmarks.conftest import emit_bench_json, print_table
-from tests.conftest import make_guardian_tenant, saxpy_module
+from benchmarks.conftest import (
+    emit_bench_json,
+    print_table,
+    run_sharing_workload,
+)
+from tests.conftest import saxpy_module
 
 TENANTS = 6
 ITERATIONS = 40
 SYNC_EVERY = 10
 PARTITION = 1 << 20
-
-
-def run_sharing_workload(config: ServerConfig):
-    """TENANTS tenants deploy the same library fatBIN, then iterate
-    (h2d, h2d, launch), synchronising every SYNC_EVERY iterations."""
-    device = Device(QUADRO_RTX_A4000)
-    server = GuardianServer(device, FencingMode.BITWISE, config=config)
-
-    tenants = []
-    for index in range(TENANTS):
-        client, runtime = make_guardian_tenant(
-            server, f"tenant{index}", PARTITION)
-        # Rebuilt per tenant on purpose: distinct FatBinary objects
-        # with identical content exercise the content-addressed keys —
-        # the multi-tenant same-library deployment pattern.
-        handles = client.register_fatbin(
-            build_fatbin(saxpy_module(), "libsaxpy", "11.7"))
-        buf = client.malloc(512)
-        tenants.append((client, handles["saxpy"], buf))
-
-    payload = np.ones(16, dtype=np.float32).tobytes()
-    for iteration in range(ITERATIONS):
-        for client, handle, buf in tenants:
-            client.memcpy_h2d(buf, payload)
-            client.memcpy_h2d(buf + 256, payload)
-            client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
-                                 [buf, buf + 256, 2.0, 16])
-        if (iteration + 1) % SYNC_EVERY == 0:
-            for client, _, _ in tenants:
-                client.synchronize()
-    device.synchronize(spatial=True)
-
-    clients = [client for client, _, _ in tenants]
-    return server, clients, collect_all(server, clients=clients).hotpath
 
 
 class TestHotPathCaching:
@@ -71,11 +39,15 @@ class TestHotPathCaching:
         enabled_cfg = ServerConfig.hotpath(charge_patch_cycles=True)
 
         def run_both():
-            disabled = run_sharing_workload(disabled_cfg)
-            enabled = run_sharing_workload(enabled_cfg)
-            return disabled, enabled
+            return [
+                run_sharing_workload(TENANTS, ITERATIONS, SYNC_EVERY, config)
+                for config in (disabled_cfg, enabled_cfg)
+            ]
 
-        (_, _, disabled), (server, clients, enabled) = once(run_both)
+        disabled, enabled = (
+            collect_all(server, clients=clients).hotpath
+            for server, clients in once(run_both)
+        )
 
         print()
         print(render_hotpath_report(disabled, title="caches disabled"))

@@ -21,25 +21,21 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis.metrics import collect_all
 from repro.analysis.reporting import render_telemetry_report
-from repro.core.policy import FencingMode
-from repro.core.server import GuardianServer, ServerConfig
-from repro.driver.fatbin import build_fatbin
-from repro.gpu.device import Device
-from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.core.server import ServerConfig
 from repro.telemetry import SERVER_TRACK
 from repro.telemetry.export import write_chrome_trace
 
-from benchmarks.conftest import emit_bench_json, print_table
-from tests.conftest import make_guardian_tenant, saxpy_module
+from benchmarks.conftest import (
+    emit_bench_json,
+    print_table,
+    run_sharing_workload,
+)
 
 TENANTS = 6
 ITERATIONS = 40
 SYNC_EVERY = 10
-PARTITION = 1 << 20
 
 #: The CI gate (mirrored in bench_baseline.json): telemetry may not
 #: inflate the modelled host-cycle total. The measured ratio is
@@ -48,44 +44,14 @@ PARTITION = 1 << 20
 CYCLE_RATIO_CEILING = 1.05
 
 
-def run_sharing_workload(config: ServerConfig):
-    """TENANTS tenants deploy the same library, then iterate
-    (h2d, h2d, launch), synchronising every SYNC_EVERY iterations."""
-    device = Device(QUADRO_RTX_A4000)
-    server = GuardianServer(device, FencingMode.BITWISE, config=config)
-
-    tenants = []
-    for index in range(TENANTS):
-        client, _ = make_guardian_tenant(
-            server, f"tenant{index}", PARTITION)
-        handles = client.register_fatbin(
-            build_fatbin(saxpy_module(), "libsaxpy", "11.7"))
-        buf = client.malloc(512)
-        tenants.append((client, handles["saxpy"], buf))
-
-    payload = np.ones(16, dtype=np.float32).tobytes()
-    for iteration in range(ITERATIONS):
-        for client, handle, buf in tenants:
-            client.memcpy_h2d(buf, payload)
-            client.memcpy_h2d(buf + 256, payload)
-            client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
-                                 [buf, buf + 256, 2.0, 16])
-        if (iteration + 1) % SYNC_EVERY == 0:
-            for client, _, _ in tenants:
-                client.synchronize()
-    device.synchronize(spatial=True)
-
-    clients = [client for client, _, _ in tenants]
-    return server, clients
-
-
 class TestTelemetryOverhead:
     def test_telemetry_is_cycle_neutral(self, once):
         def run_both():
-            stock = run_sharing_workload(ServerConfig.concurrent())
-            traced = run_sharing_workload(
-                ServerConfig.concurrent(telemetry=True))
-            return stock, traced
+            return [
+                run_sharing_workload(TENANTS, ITERATIONS, SYNC_EVERY,
+                                     ServerConfig.concurrent(telemetry=on))
+                for on in (False, True)
+            ]
 
         (stock, _), (traced, clients) = once(run_both)
 

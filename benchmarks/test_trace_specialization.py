@@ -2,7 +2,7 @@
 
 Runs the hot-path benchmark's fig7-style sharing workload twice — once
 with everything off and once with ``ServerConfig.traced()`` (hot-path
-caches + trace specialization + vectorized bounds) plus a disk-backed
+caches + trace specialization) plus a disk-backed
 patch cache — and measures total host work. The traced arm must beat
 the plain hot-path arm's 0.40 cached-vs-default ratio: once a tenant's
 sync-delimited block stabilises, replayed blocks pay one fused submit
@@ -16,60 +16,23 @@ the cold-start amortization story.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.metrics import collect_all
 from repro.analysis.reporting import render_hotpath_report
-from repro.core.policy import FencingMode
-from repro.core.server import GuardianServer, ServerConfig
-from repro.driver.fatbin import build_fatbin
-from repro.gpu.device import Device
-from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.core.server import ServerConfig
 
-from benchmarks.conftest import emit_bench_json, print_table
-from tests.conftest import make_guardian_tenant, saxpy_module
+from benchmarks.conftest import (
+    emit_bench_json,
+    print_table,
+    run_sharing_workload,
+)
 
 TENANTS = 6
 ITERATIONS = 40
 SYNC_EVERY = 10
-PARTITION = 1 << 20
 
 #: The acceptance bar from ISSUE 8: beat PR 1's 0.40 cached-vs-default
 #: cycle ratio by a clear margin.
 MAX_RATIO = 0.30
-
-
-def run_sharing_workload(config: ServerConfig):
-    """Same shape as the hot-path benchmark: TENANTS tenants deploy one
-    shared library, then iterate (h2d, h2d, launch), synchronising
-    every SYNC_EVERY iterations — the fixed loop the recorder sees as a
-    stable sync-delimited block."""
-    device = Device(QUADRO_RTX_A4000)
-    server = GuardianServer(device, FencingMode.BITWISE, config=config)
-
-    tenants = []
-    for index in range(TENANTS):
-        client, runtime = make_guardian_tenant(
-            server, f"tenant{index}", PARTITION)
-        handles = client.register_fatbin(
-            build_fatbin(saxpy_module(), "libsaxpy", "11.7"))
-        buf = client.malloc(512)
-        tenants.append((client, handles["saxpy"], buf))
-
-    payload = np.ones(16, dtype=np.float32).tobytes()
-    for iteration in range(ITERATIONS):
-        for client, handle, buf in tenants:
-            client.memcpy_h2d(buf, payload)
-            client.memcpy_h2d(buf + 256, payload)
-            client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
-                                 [buf, buf + 256, 2.0, 16])
-        if (iteration + 1) % SYNC_EVERY == 0:
-            for client, _, _ in tenants:
-                client.synchronize()
-    device.synchronize(spatial=True)
-
-    clients = [client for client, _, _ in tenants]
-    return server, clients, collect_all(server, clients=clients).hotpath
 
 
 class TestTraceSpecialization:
@@ -80,11 +43,15 @@ class TestTraceSpecialization:
                                          patch_cache_dir=cache_dir)
 
         def run_both():
-            disabled = run_sharing_workload(disabled_cfg)
-            traced = run_sharing_workload(traced_cfg)
-            return disabled, traced
+            return [
+                run_sharing_workload(TENANTS, ITERATIONS, SYNC_EVERY, config)
+                for config in (disabled_cfg, traced_cfg)
+            ]
 
-        (_, _, disabled), (server, clients, traced) = once(run_both)
+        disabled, traced = (
+            collect_all(server, clients=clients).hotpath
+            for server, clients in once(run_both)
+        )
 
         print()
         print(render_hotpath_report(disabled, title="everything off"))
@@ -144,8 +111,12 @@ class TestTraceSpecialization:
         config = ServerConfig.traced(charge_patch_cycles=True,
                                      patch_cache_dir=cache_dir)
 
-        first, _, first_metrics = run_sharing_workload(config)
-        second, _, second_metrics = run_sharing_workload(config)
+        first, first_clients = run_sharing_workload(
+            TENANTS, ITERATIONS, SYNC_EVERY, config)
+        second, second_clients = run_sharing_workload(
+            TENANTS, ITERATIONS, SYNC_EVERY, config)
+        first_metrics = collect_all(first, clients=first_clients).hotpath
+        second_metrics = collect_all(second, clients=second_clients).hotpath
 
         assert first_metrics.patch_disk_writes == 1
         assert first_metrics.patch_disk_hits == 0

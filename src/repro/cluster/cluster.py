@@ -228,8 +228,7 @@ class GuardianCluster:
         #: of modelled transfer time, not server cycles). Follows the
         #: same ServerConfig knob so one switch lights up every layer.
         self.telemetry: Optional[Telemetry] = (
-            Telemetry(self.config.server_config.telemetry_capacity)
-            if self.config.server_config.telemetry else None
+            Telemetry() if self.config.server_config.telemetry else None
         )
         #: Per-node cursor into supervisor.records already fed to the
         #: health monitor.
@@ -434,17 +433,16 @@ class GuardianCluster:
         the source's other residents are handled by the next beat).
 
         **Every per-call specialization restarts cold at the
-        destination.** The snapshot deliberately carries only the
-        fast-launch memo's *epoch* (not its values) and nothing of the
-        source's trace-specialization state: ``restore_tenant``
-        re-publishes the bounds record at the new base under a fresh
-        epoch, so the first post-migration launch rebuilds its fencing
-        parameters, and the destination's trace engine — which also
-        forgets any same-named leftovers on restore — must re-record
-        and re-compile before any specialized replay. Replaying a
-        source-compiled trace against the destination's epoch, stream,
-        or base address is therefore impossible by construction, not
-        merely guarded against.
+        destination.** The snapshot carries nothing of the source's
+        fast-launch memo or trace-specialization state:
+        ``restore_tenant`` re-publishes the bounds record at the new
+        base under a fresh epoch, so the first post-migration launch
+        rebuilds its fencing parameters, and the destination's trace
+        engine — which also forgets any same-named leftovers on restore
+        — must re-record and re-compile before any specialized replay.
+        Replaying a source-compiled trace against the destination's
+        epoch, stream, or base address is therefore impossible by
+        construction, not merely guarded against.
         """
         session = self.tenants.get(app_id)
         if session is None:

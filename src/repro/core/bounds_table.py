@@ -96,8 +96,8 @@ class PartitionRecord:
         One sweep evaluates the same three-clause predicate
         :meth:`contains` applies per range — lower bound, non-negative
         length, upper bound — across the whole batch. This is the
-        trace-specialization prologue's one-shot bounds check
-        (``enable_vectorized_bounds``): the per-range predicate stays
+        trace-specialization prologue's one-shot bounds check (the
+        only check a replayed block runs): the per-range predicate stays
         the flat GPUArmor-style comparison; only the loop over ranges
         is vectorized.
         """

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.ipc import IPCChannel, IPCCostModel
+from repro.core.ipc import MAX_BATCH, IPCChannel, IPCCostModel
 from repro.core.server import GuardianServer
 from repro.driver.fatbin import FatBinary
 from repro.errors import ClientCrashed
@@ -64,7 +64,7 @@ class GuardianClient(GpuBackend):
         if batching is None:
             batching = server.config.enable_ipc_batching
         if max_batch is None:
-            max_batch = server.config.ipc_max_batch
+            max_batch = MAX_BATCH
         if queue_limit is None:
             queue_limit = server.config.ipc_queue_limit
         if shed_overflow is None:

@@ -72,7 +72,6 @@ class _SwapImage:
     heap_free: tuple[tuple[int, int], ...]
     heap_live: tuple[tuple[int, int], ...]
     modules: tuple
-    base_at_swap: int
 
 
 class ElasticMemoryEngine:
@@ -94,12 +93,7 @@ class ElasticMemoryEngine:
         self.oversubscription_enabled = config.enable_oversubscription
         self.oversubscription_ratio = config.oversubscription_ratio
         self.min_partition_bytes = config.min_partition_bytes
-        if config.defrag_policy == "threshold":
-            self.policy = defrag_policy(
-                "threshold", threshold=config.defrag_threshold
-            )
-        else:
-            self.policy = defrag_policy(config.defrag_policy)
+        self.policy = defrag_policy(config.defrag_policy)
         #: app_id -> host-side image of a swapped-out partition.
         self._swapped: dict[str, _SwapImage] = {}
         #: app_id -> monotone recency tick (LRU victim picker input).
@@ -351,7 +345,6 @@ class ElasticMemoryEngine:
             heap_free=tuple(heap_free),
             heap_live=tuple(heap_live),
             modules=tuple(tenant.modules),
-            base_at_swap=partition.base,
         )
         if server.trace_engine is not None:
             server.trace_engine.forget(app_id)
@@ -475,43 +468,66 @@ class ElasticMemoryEngine:
 
 
 class ElasticClient(GpuBackend):
-    """Address-virtualizing client shim for elastic tenants.
+    """The address-virtualizing client shim: a tenant whose partition
+    may move keeps its pointers.
 
-    The intra-node sibling of the cluster's
-    :class:`~repro.cluster.client.ClusterClient`: the tenant's device
-    pointers are handed out against its *first* base and baked into
-    its data structures; after a compaction or swap-in the partition
-    sits elsewhere. The shim keeps tenant pointers virtual
-    (origin-based) and translates at the boundary — host-side
-    addresses shift by ``delta = current_base - origin_base``, while
-    kernel pointer parameters stay virtual: partitions are
-    size-aligned, so a virtual pointer's low bits *are* its partition
-    offset and the in-kernel ``(addr & mask) | base`` fence relocates
-    it onto the current base at zero extra cost. The per-access check
-    path is unchanged — still exactly two mask ops.
+    The tenant's device pointers are handed out against its *first*
+    base and baked into its data structures; after a compaction, a
+    swap-in or a cross-node migration the partition sits elsewhere.
+    Rather than rewriting the tenant's pointers (impossible — Guardian
+    is transparent), the shim keeps them *virtual* (origin-based) and
+    translates at the boundary:
 
-    :meth:`rebase` is driven by the engine through
-    :meth:`ElasticMemoryEngine.bind_client`; callers that manage moves
-    by hand may call it directly.
+    - every address that crosses toward the server host-side — ``free``,
+      ``memcpy_*`` endpoints, ``memset`` destinations — is shifted by
+      ``delta = current_base - origin_base``;
+    - every address the server returns (``malloc``) is shifted back;
+    - **kernel pointer parameters are deliberately left alone**: the
+      bitwise fence computes ``(addr & mask) | base`` in-kernel, and
+      since partitions are size-aligned, a virtual pointer's low bits
+      *are* its partition offset — the fence itself relocates the
+      pointer onto the current base at zero extra cost. The per-access
+      check is still exactly two mask ops, and this is why every mover
+      requires :attr:`FencingMode.BITWISE`.
+
+    :meth:`rebase` follows an intra-node move (the engine drives it
+    through :meth:`ElasticMemoryEngine.bind_client`); :meth:`rebind`
+    follows a move to another dispatch target. Partition growth at a
+    non-zero delta is refused: widening the mask would let origin-base
+    bits leak through the fence. The cluster's
+    :class:`~repro.cluster.client.ClusterClient` adds node tracking on
+    top of this class.
     """
 
-    def __init__(self, server, app_id: str, max_bytes: int, **client_kwargs):
+    def __init__(self, target, app_id: str, max_bytes: int, **client_kwargs):
+        self.app_id = app_id
+        self.max_bytes = max_bytes
+        self._client_kwargs = client_kwargs
+        self._inner = self._open(target, attach=True)
+        self._origin_base = target.allocator.partition(app_id).base
+        self._delta = 0
+        self._export_tables = None
+
+    def _open(self, target, attach: bool):
         # Local import: repro.core.client imports the server module,
         # which imports this one — the shim resolves the cycle lazily.
         from repro.core.client import GuardianClient
 
-        self.app_id = app_id
-        self._inner = GuardianClient(
-            server, app_id, max_bytes, **client_kwargs
-        )
-        self._origin_base = server.allocator.partition(app_id).base
-        self._delta = 0
-        self.rebases = 0
+        return GuardianClient(target, self.app_id, self.max_bytes,
+                              attach=attach, **self._client_kwargs)
 
     @property
     def delta(self) -> int:
         """Physical-minus-virtual base offset (0 until the first move)."""
         return self._delta
+
+    @property
+    def crashed(self) -> bool:
+        return self._inner.crashed
+
+    @property
+    def profile(self):
+        return self._inner.profile
 
     @property
     def channel(self):
@@ -520,7 +536,26 @@ class ElasticClient(GpuBackend):
     def rebase(self, new_base: int) -> None:
         """Point the shim's translation at the partition's new base."""
         self._delta = new_base - self._origin_base
-        self.rebases += 1
+
+    def rebind(self, target, new_base: int) -> None:
+        """Follow the partition to ``target``, which already adopted
+        the tenant at ``new_base``.
+
+        The replacement inner client gets a *fresh* IPC channel without
+        re-attaching: its marshal shadow cursor (the client-side view
+        of a compiled trace) starts at zero, matching the destination
+        trace engine's cold start. The old channel is aborted, not
+        flushed: anything still queued was captured by (or superseded
+        by) the move's snapshot.
+        """
+        old = self._inner
+        self._inner = self._open(target, attach=False)
+        old.channel.abort()
+        self.rebase(new_base)
+
+    def _client(self):
+        """The inner client; every forward below goes through here."""
+        return self._inner
 
     def _phys(self, virtual: int) -> int:
         return virtual + self._delta
@@ -531,69 +566,83 @@ class ElasticClient(GpuBackend):
     # -- GpuBackend interface --------------------------------------------------
 
     def malloc(self, size: int) -> int:
-        return self._virt(self._inner.malloc(size))
+        return self._virt(self._client().malloc(size))
 
     def free(self, address: int) -> None:
-        self._inner.free(self._phys(address))
+        self._client().free(self._phys(address))
 
     def memcpy_h2d(self, dst: int, data: bytes, stream_id: int = 0) -> None:
-        self._inner.memcpy_h2d(self._phys(dst), data, stream_id)
+        self._client().memcpy_h2d(self._phys(dst), data, stream_id)
 
     def memcpy_d2h(self, src: int, size: int, stream_id: int = 0) -> bytes:
-        return self._inner.memcpy_d2h(self._phys(src), size, stream_id)
+        return self._client().memcpy_d2h(self._phys(src), size, stream_id)
 
     def memcpy_d2d(self, dst: int, src: int, size: int,
                    stream_id: int = 0) -> None:
-        self._inner.memcpy_d2d(self._phys(dst), self._phys(src), size,
-                               stream_id)
+        self._client().memcpy_d2d(self._phys(dst), self._phys(src), size,
+                                  stream_id)
 
     def memset(self, dst: int, value: int, size: int,
                stream_id: int = 0) -> None:
-        self._inner.memset(self._phys(dst), value, size, stream_id)
+        self._client().memset(self._phys(dst), value, size, stream_id)
 
     def register_fatbin(self, fatbin) -> dict[str, int]:
-        return self._inner.register_fatbin(fatbin)
+        return self._client().register_fatbin(fatbin)
 
     def load_module_ptx(self, ptx_text: str) -> dict[str, int]:
-        return self._inner.load_module_ptx(ptx_text)
+        return self._client().load_module_ptx(ptx_text)
 
     def launch_kernel(self, handle, grid, block, params,
                       stream_id: int = 0) -> None:
         # Pointer parameters stay virtual: the bitwise fence relocates
         # them onto the current base in-kernel (class docstring).
-        self._inner.launch_kernel(handle, grid, block, params, stream_id)
+        self._client().launch_kernel(handle, grid, block, params, stream_id)
 
     def create_stream(self) -> int:
-        return self._inner.create_stream()
+        return self._client().create_stream()
 
     def synchronize(self) -> None:
-        self._inner.synchronize()
+        self._client().synchronize()
 
     def get_export_table(self, table_uuid: str) -> dict:
-        return self._inner.get_export_table(table_uuid)
+        # Built against *this* shim (not the inner client) so the
+        # hidden functions keep translating addresses, and keep routing
+        # to the current target after a rebind.
+        if self._export_tables is None:
+            from repro.runtime.export_table import build_export_tables
+
+            self._export_tables = build_export_tables(self)
+        table = self._export_tables.get(table_uuid)
+        if table is None:
+            raise GuardianError(
+                f"export table {table_uuid!r} is not in Guardian's "
+                f"minimal implementation"
+            )
+        return table
 
     def device_spec(self):
-        return self._inner.device_spec()
+        return self._client().device_spec()
 
     # -- lifecycle -------------------------------------------------------------
 
     def grow_partition(self, new_max_bytes: int) -> int:
+        inner = self._client()
         if self._delta:
             raise PartitionError(
                 f"tenant {self.app_id!r}: partition growth after a "
                 f"relocation is not supported (the widened fence mask "
                 f"would leak origin-base bits)"
             )
-        return self._inner.grow_partition(new_max_bytes)
+        return inner.grow_partition(new_max_bytes)
 
     def shrink_partition(self) -> int:
         """Request an opportunistic shrink; returns the (possibly
         unchanged) partition size. Safe at any delta: narrowing the
         mask only ever strips high bits the fence already owns."""
-        return self._inner.shrink_partition()
+        return self._client().shrink_partition()
 
     def flush(self) -> int:
-        return self._inner.flush()
+        return self._client().flush()
 
     def close(self) -> None:
         self._inner.close()

@@ -122,6 +122,10 @@ class IPCStats:
         return self.batched_messages / self.batches
 
 
+#: Most calls one batched flush carries.
+MAX_BATCH = 64
+
+
 @dataclass
 class _QueuedCall:
     method: str
@@ -146,7 +150,7 @@ class IPCChannel:
     def __init__(self, target, app_id: str,
                  costs: IPCCostModel | None = None,
                  batching: bool = False,
-                 max_batch: int = 64,
+                 max_batch: int = MAX_BATCH,
                  queue_limit: int | None = None,
                  shed_overflow: bool = False):
         if max_batch < 1:

@@ -307,9 +307,9 @@ _DEFRAG_POLICIES = {
 def defrag_policy(name: str, **kwargs) -> DefragPolicy:
     """Resolve a ``ServerConfig.defrag_policy`` string.
 
-    ``kwargs`` forward to the policy constructor (the server passes
-    ``threshold=config.defrag_threshold``; policies without that knob
-    simply don't accept it).
+    ``kwargs`` forward to the policy constructor (e.g. ``threshold``
+    for ``"threshold"``; the server passes none, so each policy runs
+    at its constructor defaults).
     """
     try:
         cls = _DEFRAG_POLICIES[name]

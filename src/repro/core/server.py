@@ -83,6 +83,9 @@ from repro.gpu.stream import Stream
 from repro.runtime.backend import CPU_GHZ, DriverCostModel
 from repro.telemetry import Telemetry, maybe_span
 
+#: Thread-pool width for cold-PTX patching in concurrency mode.
+PATCH_WORKERS = 4
+
 
 @dataclass(frozen=True)
 class ServerCostModel:
@@ -124,9 +127,9 @@ class ServerCostModel:
     trace_guard: int = 300
     trace_submit: int = 9_000
     trace_replay_op: int = 60
-    #: Vectorized bounds prologue: one numpy sweep over a block's
-    #: transfer ranges (fixed setup + a few cycles per range) instead
-    #: of one flat ``transfer_check`` per range.
+    #: Bounds prologue of a replayed block: one numpy sweep over the
+    #: block's transfer ranges (fixed setup + a few cycles per range)
+    #: instead of one flat ``transfer_check`` per range.
     vector_check_base: int = 120
     vector_check_per_range: int = 4
     #: The ordinary driver work the server performs on behalf of the
@@ -151,9 +154,10 @@ class ServerConfig:
       parameter tuple; steady-state launches pay ``lookup_cached``
       instead of ``lookup + augment``. Invalidated by the bounds
       table's per-tenant epoch (bumped on partition grow/release).
-    - ``enable_ipc_batching`` / ``ipc_max_batch``: clients coalesce
-      consecutive asynchronous calls into one flush-on-sync batch
-      (picked up by :class:`~repro.core.ipc.IPCChannel` at attach).
+    - ``enable_ipc_batching``: clients coalesce consecutive
+      asynchronous calls into one flush-on-sync batch of up to 64
+      calls (picked up by :class:`~repro.core.ipc.IPCChannel` at
+      attach).
     - ``charge_patch_cycles``: account the offline patch/extract work
       in server cycles. Off by default because the paper reports
       patching as an offline phase outside the launch path; benchmarks
@@ -165,9 +169,9 @@ class ServerConfig:
     - ``lane_policy``: which tenant's lane enters the shared critical
       section first at each ordering point (``"fifo"`` or ``"fair"``,
       resolved by :func:`~repro.core.policy.lane_scheduling_policy`).
-    - ``patch_workers``: thread-pool width for cold-PTX patching in
-      concurrency mode; single-flight dedup means concurrent same-hash
-      misses still run (and charge) exactly one patch.
+      Cold-PTX patching runs on a :data:`PATCH_WORKERS`-thread pool;
+      single-flight dedup means concurrent same-hash misses still run
+      (and charge) exactly one patch.
     - ``coalesce_transfer_checks``: contiguous chunked
       ``memcpy_*``/``memset`` ranges collapse into one charged
       ``_check_range`` per run (the containment predicate itself is
@@ -178,18 +182,12 @@ class ServerConfig:
       only: no hook charges cycles, so every modelled total is
       bit-identical with the knob on or off — the stock default stays
       the paper's numbers *and* so does the instrumented run.
-      ``telemetry_capacity`` bounds the span ring buffer.
     - ``enable_trace_specialization``: record a tenant's steady-state
-      sync-to-sync call sequence and, once it repeats
-      ``trace_hot_threshold`` consecutive times, replay it as one
-      guarded fused block (:mod:`repro.core.tracecache`, DESIGN.md
-      §12). Any guard failure or epoch bump falls back to the
-      interpreted path bit-identically. ``trace_max_ops`` bounds how
-      long a block the recorder will consider.
-    - ``enable_vectorized_bounds``: range-check a replayed block's
-      pre-validated transfer ranges in one numpy sweep at block entry
-      instead of one flat check per op (only consulted by the trace
-      replay path — the interpreted path's checks are untouched).
+      sync-to-sync call sequence and, once it repeats twice in a row,
+      replay it as one guarded fused block whose transfer ranges are
+      range-checked in one numpy sweep at block entry
+      (:mod:`repro.core.tracecache`, DESIGN.md §12). Any guard failure
+      or epoch bump falls back to the interpreted path bit-identically.
     - ``patch_cache_dir``: back the content-addressed patch cache with
       an on-disk store (atomic writes, versioned keys) so cold-start
       patch cost amortizes across server processes. Implies the patch
@@ -219,27 +217,21 @@ class ServerConfig:
       (the default) no engine is constructed and the server is the
       stock server. ``oversubscription_ratio`` hard-caps total declared
       bytes (resident + swapped) at that multiple of physical capacity;
-      ``defrag_policy``/``defrag_threshold`` select the
-      :class:`~repro.core.policy.DefragPolicy`;
+      ``defrag_policy`` selects the
+      :class:`~repro.core.policy.DefragPolicy` (``"threshold"`` defrags
+      below a fragmentation score of 0.5);
       ``min_partition_bytes`` floors how far a shrink may go.
     """
 
     enable_patch_cache: bool = False
-    patch_cache_capacity: int = 64
     enable_launch_fast_path: bool = False
     enable_ipc_batching: bool = False
-    ipc_max_batch: int = 64
     charge_patch_cycles: bool = False
     concurrency: bool = False
     lane_policy: str = "fifo"
-    patch_workers: int = 4
     coalesce_transfer_checks: bool = False
     telemetry: bool = False
-    telemetry_capacity: int = 65_536
     enable_trace_specialization: bool = False
-    trace_hot_threshold: int = 2
-    trace_max_ops: int = 512
-    enable_vectorized_bounds: bool = False
     patch_cache_dir: Optional[str] = None
     max_resident_tenants: Optional[int] = None
     ipc_queue_limit: Optional[int] = None
@@ -249,7 +241,6 @@ class ServerConfig:
     enable_oversubscription: bool = False
     oversubscription_ratio: float = 2.0
     defrag_policy: str = "threshold"
-    defrag_threshold: float = 0.5
     min_partition_bytes: int = 4096
 
     @classmethod
@@ -266,29 +257,17 @@ class ServerConfig:
     @classmethod
     def concurrent(cls, **overrides) -> "ServerConfig":
         """Concurrent multi-tenant dispatch plus every hot-path cache."""
-        values = dict(
-            enable_patch_cache=True,
-            enable_launch_fast_path=True,
-            enable_ipc_batching=True,
-            concurrency=True,
-            coalesce_transfer_checks=True,
-        )
-        values.update(overrides)
-        return cls(**values)
+        return cls.hotpath(**{
+            "concurrency": True, "coalesce_transfer_checks": True,
+            **overrides,
+        })
 
     @classmethod
     def traced(cls, **overrides) -> "ServerConfig":
-        """Every hot-path cache plus steady-state trace specialization
-        and the vectorized bounds prologue."""
-        values = dict(
-            enable_patch_cache=True,
-            enable_launch_fast_path=True,
-            enable_ipc_batching=True,
-            enable_trace_specialization=True,
-            enable_vectorized_bounds=True,
-        )
-        values.update(overrides)
-        return cls(**values)
+        """Every hot-path cache plus steady-state trace specialization."""
+        return cls.hotpath(**{
+            "enable_trace_specialization": True, **overrides,
+        })
 
     @classmethod
     def elastic(cls, **overrides) -> "ServerConfig":
@@ -396,20 +375,12 @@ class TenantSnapshot:
     app_id: str
     size: int
     source_base: int
-    #: Bounds-table epoch at snapshot time (the fast-launch memo's
-    #: validity token on the source; informational after restore — the
-    #: target re-publishes its own record at a fresh epoch).
-    bounds_epoch: int
     #: The partition's bytes, in full.
     data: bytes
     heap_free: tuple[tuple[int, int], ...]
     heap_live: tuple[tuple[int, int], ...]
     modules: tuple[_ModuleImage, ...]
     next_handle: int
-    #: Launch fast-path memo state (epoch it was memoised at, or None).
-    #: Recorded for completeness; restore starts the memo cold because
-    #: the target node's epoch counter is unrelated to the source's.
-    fast_launch_epoch: Optional[int]
     fencing_mode: str
     incarnation: int
     #: The tenant's modelled L2 residency (partition-relative line
@@ -484,8 +455,7 @@ class GuardianServer:
         # resolve this attribute, so one deployment shares one tracer
         # clock and one registry.
         self.telemetry: Optional[Telemetry] = (
-            Telemetry(self.config.telemetry_capacity)
-            if self.config.telemetry else None
+            Telemetry() if self.config.telemetry else None
         )
         if self.telemetry is not None:
             device.telemetry = self.telemetry
@@ -502,16 +472,11 @@ class GuardianServer:
         if not patch_caching:
             self._patch_cache: Optional[PatchCache] = None
         elif self.config.patch_cache_dir is not None:
-            self._patch_cache = DiskPatchCache(
-                self.config.patch_cache_dir,
-                self.config.patch_cache_capacity,
-            )
+            self._patch_cache = DiskPatchCache(self.config.patch_cache_dir)
         elif self.config.concurrency:
-            self._patch_cache = ThreadSafePatchCache(
-                self.config.patch_cache_capacity
-            )
+            self._patch_cache = ThreadSafePatchCache()
         else:
-            self._patch_cache = PatchCache(self.config.patch_cache_capacity)
+            self._patch_cache = PatchCache()
         self._extract_cache: Optional[dict] = (
             {} if patch_caching else None
         )
@@ -558,7 +523,7 @@ class GuardianServer:
             ParallelPatcher(
                 self.patcher,
                 cache=self._patch_cache,
-                workers=self.config.patch_workers,
+                workers=PATCH_WORKERS,
             )
             if self._concurrent else None
         )
@@ -1315,8 +1280,9 @@ class GuardianServer:
         """Quiesce a tenant and capture everything a peer server needs
         to adopt it: drain the stream (in-order-per-application means a
         drained stream is a consistent cut), then copy the partition
-        bytes, the heap's free/live lists (partition-relative), the
-        bounds epoch, the module images and the fast-launch memo state.
+        bytes, the heap's free/live lists (partition-relative) and the
+        module images. No per-call specialization travels: the fast-launch
+        memo and any compiled trace restart cold at the destination.
 
         The tenant stays attached — snapshotting is read-only — so an
         aborted migration needs no rollback. A wedged stream refuses to
@@ -1334,16 +1300,11 @@ class GuardianServer:
             app_id=app_id,
             size=partition.size,
             source_base=partition.base,
-            bounds_epoch=self.allocator.bounds.epoch(app_id),
             data=self.device.memory.read(partition.base, partition.size),
             heap_free=tuple(heap_free),
             heap_live=tuple(heap_live),
             modules=tuple(tenant.modules),
             next_handle=max(tenant.functions, default=0x4000 - 1) + 1,
-            fast_launch_epoch=(
-                tenant.fast_launch[0]
-                if tenant.fast_launch is not None else None
-            ),
             fencing_mode=self.mode.value,
             incarnation=tenant.incarnation,
             l2_lines=tuple(

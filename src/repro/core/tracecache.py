@@ -15,7 +15,7 @@ Recorder
     Between two ``synchronize`` calls the engine records the *static
     signature* of every asynchronous operation a tenant submits
     (launch / H2D / D2D / memset — payload bytes excluded, they are
-    taken live at replay). When ``trace_hot_threshold`` consecutive
+    taken live at replay). When :data:`HOT_THRESHOLD` consecutive
     sync-delimited blocks carry the identical signature sequence, the
     block is compiled into a :class:`SpecializedTrace`.
 
@@ -44,13 +44,13 @@ Replay
     ``trace_replay_op`` per operation, instead of per-call dispatch,
     lookups and driver-issue work. Every driver call still executes
     (functional effects are bit-identical); only the modelled host
-    cycles shrink. With ``enable_vectorized_bounds`` the block's
-    pre-validated transfer ranges are range-checked **in one numpy
-    shot** against the guarded bounds record at block entry; with the
-    knob off each replayed transfer charges (and evaluates) the flat
-    per-op check. Either way the containment predicate is evaluated —
-    GPUArmor's lesson is that the check stays flat, not that it
-    disappears.
+    cycles shrink. The block's pre-validated transfer ranges are
+    range-checked **in one numpy shot** against the guarded bounds
+    record at block entry — the only bounds check a replayed block
+    runs. The containment predicate is still evaluated (GPUArmor's
+    lesson is that the check stays flat, not that it disappears), and
+    a mutation landing mid-block drops the trace eagerly (see the
+    invalidation lattice), so no op replays past it.
 
 Invalidation lattice
     Any guard failure, any mid-block signature deviation, a shorter or
@@ -80,6 +80,12 @@ import numpy as np
 from repro.errors import BoundsViolation, ExecutionError, GuardianError
 from repro.core.policy import FencingMode
 from repro.telemetry import maybe_span
+
+#: Consecutive identical sync-delimited blocks before a block compiles.
+HOT_THRESHOLD = 2
+
+#: Longest block (in ops) the recorder will consider compiling.
+MAX_TRACE_OPS = 512
 
 #: Methods the recorder traces (the asynchronous submission surface).
 TRACEABLE_METHODS = frozenset(
@@ -134,7 +140,9 @@ class _OpPlan:
 
     ``kind`` mirrors the signature head; launches carry the resolved
     function and the fully-augmented parameter array (fencing extras
-    appended at compile time), transfers carry their checked range(s).
+    appended at compile time), transfers their addresses and size. The
+    block prologue checks every transfer's ranges at once, from
+    :attr:`SpecializedTrace.ranges`.
     """
 
     sig: tuple
@@ -145,8 +153,6 @@ class _OpPlan:
     grid: tuple = ()
     block: tuple = ()
     handle: int = 0
-    #: transfers: the ranges the interpreted path would check.
-    ranges: tuple = ()
     dst: int = 0
     src: int = 0
     size: int = 0
@@ -267,7 +273,7 @@ class TraceEngine:
         and rewinds the cursor; a partially-replayed one means the
         block got *shorter* than recorded — a deviation, the trace is
         dropped. Recording mode: a block identical to the previous one
-        moves the stability counter; at ``trace_hot_threshold``
+        moves the stability counter; at :data:`HOT_THRESHOLD`
         consecutive identical blocks the block compiles.
         """
         server = self.server
@@ -285,13 +291,13 @@ class TraceEngine:
             return
         block = tuple(state.recording)
         state.recording.clear()
-        if not block or len(block) > server.config.trace_max_ops:
+        if not block or len(block) > MAX_TRACE_OPS:
             state.last_block = None
             state.stable_repeats = 0
             return
         if block == state.last_block:
             state.stable_repeats += 1
-            if state.stable_repeats + 1 >= server.config.trace_hot_threshold:
+            if state.stable_repeats + 1 >= HOT_THRESHOLD:
                 trace = self._compile(app_id, block)
                 if trace is not None:
                     state.trace = trace
@@ -392,25 +398,22 @@ class TraceEngine:
                 if not record.contains(dst, size):
                     return None
                 ops.append(_OpPlan(sig=sig, kind="h2d", dst=dst,
-                                   size=size, ranges=((dst, size),)))
+                                   size=size))
                 ranges.append((dst, size))
             elif kind == "d2d":
                 _, dst, src, size = sig
                 if not (record.contains(src, size)
                         and record.contains(dst, size)):
                     return None
-                ops.append(_OpPlan(
-                    sig=sig, kind="d2d", dst=dst, src=src, size=size,
-                    ranges=((src, size), (dst, size)),
-                ))
+                ops.append(_OpPlan(sig=sig, kind="d2d", dst=dst, src=src,
+                                   size=size))
                 ranges.extend(((src, size), (dst, size)))
             elif kind == "memset":
                 _, dst, value, size = sig
                 if not record.contains(dst, size):
                     return None
                 ops.append(_OpPlan(sig=sig, kind="memset", dst=dst,
-                                   value=value, size=size,
-                                   ranges=((dst, size),)))
+                                   value=value, size=size))
                 ranges.append((dst, size))
             else:
                 return None
@@ -427,7 +430,7 @@ class TraceEngine:
             pairs=tuple(pairs),
             ranges=tuple(ranges),
         )
-        if server.config.enable_vectorized_bounds and ranges:
+        if ranges:
             trace.starts = np.fromiter(
                 (start for start, _ in ranges), dtype=np.int64,
                 count=len(ranges),
@@ -478,16 +481,12 @@ class TraceEngine:
     def _enter_block(self, app_id: str, trace: SpecializedTrace) -> float:
         """Charge the fused block's prologue: the guard evaluation plus
         one batched submit (the CUDA-Graphs-style single syscall that
-        replaces per-launch driver issuance), plus — with vectorized
-        bounds on — the one-shot numpy range check of every transfer
-        range the block carries."""
+        replaces per-launch driver issuance), plus the one-shot numpy
+        range check of every transfer range the block carries."""
         server = self.server
         costs = server.costs
         cycles = float(costs.trace_guard + costs.trace_submit)
-        vectorized = (
-            server.config.enable_vectorized_bounds and trace.ranges
-        )
-        if vectorized:
+        if trace.ranges:
             cycles += (
                 costs.vector_check_base
                 + costs.vector_check_per_range * len(trace.ranges)
@@ -496,7 +495,7 @@ class TraceEngine:
                         app_id, ops=len(trace.ops),
                         ranges=len(trace.ranges)):
             server._charge(cycles)
-        if vectorized:
+        if trace.ranges:
             record = trace.record
             server.stats.transfers_checked += len(trace.ranges)
             server.stats.trace_ranges_prechecked += len(trace.ranges)
@@ -521,27 +520,13 @@ class TraceEngine:
         same function, same bytes, same stream — so functional results
         are bit-identical; the per-op model cost is ``trace_replay_op``
         (command-buffer cursor bump + payload pointer patch) instead of
-        lookup/augment/issue, plus the flat per-range check when the
-        vectorized prologue didn't already cover it.
+        lookup/augment/issue. The op's ranges were checked by the block
+        prologue (:meth:`_enter_block`).
         """
         server = self.server
-        costs = server.costs
         tenant = server._tenants[app_id]
         stats = server.stats
-        cycles = float(costs.trace_replay_op)
-        if plan.ranges and not server.config.enable_vectorized_bounds:
-            record = server.allocator.bounds.read(app_id)
-            for start, size in plan.ranges:
-                stats.transfers_checked += 1
-                cycles += costs.transfer_check
-                if not record.contains(start, size):
-                    stats.transfers_rejected += 1
-                    server._charge(cycles)
-                    state = self._states.get(app_id)
-                    if state is not None:
-                        self._drop(state)
-                    raise BoundsViolation(app_id, start, size,
-                                          detail="trace replay")
+        cycles = float(server.costs.trace_replay_op)
         server._charge(cycles)
         stats.trace_replay_ops += 1
         if plan.kind == "launch":

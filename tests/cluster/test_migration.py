@@ -6,7 +6,12 @@ import pytest
 from repro.cluster import ClusterConfig, GuardianCluster, PlacementPolicy
 from repro.core.policy import FencingMode
 from repro.core.supervisor import SupervisorPolicy
-from repro.errors import MigrationError, NodeDown, TransientIPCFault
+from repro.errors import (
+    MigrationError,
+    NodeDown,
+    PartitionError,
+    TransientIPCFault,
+)
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.ptx.builder import build_module
 from repro.ptx.emitter import emit_module
@@ -180,7 +185,7 @@ class TestFailurePaths:
         assert cluster.migrate(
             "alice", target=other_node(cluster, session))
         assert session.client.delta != 0
-        with pytest.raises(MigrationError, match="growth"):
+        with pytest.raises(PartitionError, match="growth"):
             session.client.grow_partition(PARTITION * 2)
 
     def test_ops_on_crashed_node_raise_nodedown(self, cluster):

@@ -76,7 +76,6 @@ class TestSerialBitIdentity:
         spelled = run_workload(ServerConfig(
             concurrency=False,
             lane_policy="fifo",
-            patch_workers=8,
             coalesce_transfer_checks=False,
         ))
         assert spelled.stats == stock.stats

@@ -13,12 +13,15 @@ outputs are byte-for-byte the interpreted server's outputs.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
+from repro.core.tracecache import HOT_THRESHOLD
 from repro.driver.fatbin import build_fatbin
+from repro.errors import BoundsViolation
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
 
@@ -54,7 +57,7 @@ def run_block(server, app_id, handle, buf, payload=PAYLOAD):
 
 def heat(server, app_id, handle, buf):
     """Run exactly enough identical blocks to compile the trace."""
-    for _ in range(server.config.trace_hot_threshold):
+    for _ in range(HOT_THRESHOLD):
         run_block(server, app_id, handle, buf)
 
 
@@ -114,21 +117,6 @@ class TestCompileAndReplay:
         server.synchronize("alice")
         assert server.stats.trace_replays == 1
         assert server.stats.trace_ranges_prechecked == 2
-
-    def test_flat_checks_without_vectorized_bounds(self):
-        """With ``enable_vectorized_bounds`` off each replayed transfer
-        pays (and evaluates) the flat per-range check instead of the
-        prologue's one-shot numpy sweep."""
-        server = traced_server(enable_vectorized_bounds=False)
-        costs = server.costs
-        handle, buf = deploy(server)
-        heat(server, "alice", handle, buf)
-        before = server.stats.cycles
-        _, cycles = server.memcpy_h2d("alice", buf, PAYLOAD)
-        assert cycles == server.stats.cycles - before
-        assert cycles == (costs.trace_guard + costs.trace_submit
-                          + costs.trace_replay_op + costs.transfer_check)
-        assert server.stats.trace_ranges_prechecked == 0
 
     def test_stock_config_never_traces(self):
         server = GuardianServer(Device(QUADRO_RTX_A4000),
@@ -394,3 +382,66 @@ class TestElasticInvalidation:
         assert server.stats.traces_compiled == 2
         run_block(server, "alice", handle, buf)
         assert server.stats.trace_replays == 1
+
+
+def _grow(server):
+    server.grow_partition("alice", 1 << 21)
+
+
+def _shrink(server):
+    new_size, _ = server.shrink_partition("alice")
+    assert new_size < 1 << 20
+
+
+def _compact(server):
+    server.detach("pad")  # open a lower hole
+    assert server.elastic.compact("alice") is not None
+
+
+def _swap(server):
+    server.elastic.swap_out("alice")
+    server.elastic.ensure_resident("alice")
+
+
+def _quarantine(server):
+    server.quarantine("alice", reason="test")
+    deploy(server)  # the next incarnation at the same place
+
+
+class TestMidBlockMutation:
+    """A mutation landing *inside* a replayed block: the prologue has
+    checked the block's ranges against the old record and at least one
+    op has replayed. The rest of the block must not replay — the
+    prologue is the replay path's only bounds check — so every op after
+    the mutation runs the interpreted, checked path against the new
+    record."""
+
+    @pytest.mark.parametrize("mutate", [
+        _grow, _shrink, _compact, _swap, _quarantine,
+    ], ids=["grow", "shrink", "compaction", "swap_out", "quarantine"])
+    def test_rest_of_block_is_interpreted_and_checked(self, mutate):
+        server = traced_server(enable_shrink=True, enable_compaction=True,
+                               enable_oversubscription=True)
+        # A 2 MiB pad below leaves alice the low buddy of a free 2 MiB
+        # pair (so she can grow) and opens a lower hole once detached
+        # (so she can be compacted).
+        server.attach("pad", 1 << 21)
+        handle, buf = deploy(server)
+        heat(server, "alice", handle, buf)
+        server.memcpy_h2d("alice", buf, PAYLOAD)
+        assert server.trace_engine._states["alice"].cursor == 1
+        replayed = server.stats.trace_replay_ops
+        old_base = server.allocator.partition("alice").base
+
+        mutate(server)
+
+        partition = server.allocator.partition("alice")
+        buf += partition.base - old_base
+        checked = server.stats.transfers_checked
+        server.memcpy_h2d("alice", buf + 2048, PAYLOAD)
+        assert server.stats.trace_replay_ops == replayed
+        assert server.stats.transfers_checked == checked + 1
+        with pytest.raises(BoundsViolation):
+            server.memcpy_h2d("alice", partition.base + partition.size - 8,
+                              PAYLOAD)
+        assert server.stats.trace_replay_ops == replayed
