@@ -223,8 +223,8 @@ class GuardianAllocator:
 
         1.0 means the free space is one perfectly usable block; low
         values mean free bytes exist but are stranded in gaps too
-        small or misaligned to carve — the signal the
-        :class:`~repro.core.policy.DefragPolicy` triggers on. An
+        small or misaligned to carve — the signal
+        :func:`~repro.core.elastic.should_defrag` triggers on. An
         allocator with no free bytes scores 1.0 (nothing is stranded).
         """
         free = self.bytes_unpartitioned

@@ -152,7 +152,7 @@ class GuardianClient(GpuBackend):
 
         All existing device pointers remain valid (the base address is
         unchanged; only the fence mask narrows). Requires
-        ``ServerConfig.enable_shrink`` on the server.
+        ``ServerConfig.elastic_memory`` on the server.
         """
         return self._call("shrink_partition")
 

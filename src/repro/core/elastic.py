@@ -4,36 +4,35 @@ Guardian's static power-of-two partitioning (paper §4.2.1, the stated
 limitation) strands capacity under churn: a departed tenant's hole
 only fits an exactly-aligned newcomer, so offered load sheds while the
 GPU sits fragmented. This module (DESIGN.md §14) recovers that
-capacity with three opt-in mechanisms, all mediated by
-:class:`ElasticMemoryEngine` and all **off by default** — the stock
-server never constructs an engine and stays bit-identical to the
+capacity with three mechanisms, all mediated by
+:class:`ElasticMemoryEngine` and switched on together by
+``ServerConfig.elastic_memory``. The switch is **off by default** — the
+stock server never constructs an engine and stays bit-identical to the
 paper's Table 5 / Fig. 7–13 numbers:
 
-- **Shrink** (``ServerConfig.enable_shrink``): release the upper buddy
-  half of a partition whose heap high-water mark fits in the lower
-  half — the inverse of ``grow_partition``. The base address (and
-  every tenant pointer) is unchanged; only the mask narrows,
-  re-published to the bounds table under a fresh epoch.
-- **Compaction** (``ServerConfig.enable_compaction``): relocate a
-  quiesced tenant into a tighter gap by reusing the live-migration
-  machinery *intra-node* — drain → snapshot → replay at the new base →
-  republish bounds — authorised by a
-  :class:`~repro.core.policy.DefragPolicy` triggering on the
-  fragmentation score (largest-carveable / bytes-unpartitioned). The
-  tenant's pointers survive through client address virtualization
+- **Shrink**: release the upper buddy half of a partition whose heap
+  high-water mark fits in the lower half — the inverse of
+  ``grow_partition``, floored at :data:`MIN_PARTITION_BYTES`. The base
+  address (and every tenant pointer) is unchanged; only the mask
+  narrows, re-published to the bounds table under a fresh epoch.
+- **Compaction**: relocate a quiesced tenant into a tighter gap by
+  reusing the live-migration machinery *intra-node* — drain → snapshot
+  → replay at the new base → republish bounds — authorised by
+  :func:`should_defrag` on the fragmentation score
+  (largest-carveable / bytes-unpartitioned). The tenant's pointers
+  survive through client address virtualization
   (:class:`ElasticClient`) plus the bitwise fence, exactly like a
   cross-node migration: host-side addresses are shifted by the base
   delta, kernel pointer parameters stay virtual and the in-kernel
   ``(addr & mask) | base`` relocates them — the per-access check is
   still two mask ops.
-- **Oversubscription** (``ServerConfig.enable_oversubscription``):
-  admit beyond physical capacity by swapping the coldest resident
-  partitions to host memory, with the PCIe transfer cost modelled from
-  :attr:`DeviceSpec.pcie_bw_gbps` and charged to the timeline as a
-  serialization point. Victims are picked LRU by last launch (attach
-  and swap-in also refresh recency); ``oversubscription_ratio`` hard-
-  caps the total declared bytes (resident + swapped) the server will
-  carry.
+- **Oversubscription**: admit beyond physical capacity by swapping the
+  coldest resident partitions to host memory, with the PCIe transfer
+  cost modelled from :attr:`DeviceSpec.pcie_bw_gbps` and charged to the
+  timeline as a serialization point. Victims are picked LRU by last
+  launch (attach and swap-in also refresh recency);
+  :data:`OVERSUBSCRIPTION_RATIO` hard-caps the total declared bytes
+  (resident + swapped) the server will carry.
 
 Every elastic mutation keeps the PR 8 trace-specialization layer
 honest: shrink invalidates the tenant's traces eagerly (epoch bump),
@@ -48,10 +47,40 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import masks
-from repro.core.policy import FencingMode, defrag_policy
+from repro.core.policy import FencingMode
 from repro.errors import GuardianError, PartitionError
 from repro.gpu.allocator import FirstFitAllocator
 from repro.runtime.backend import CPU_GHZ, GpuBackend
+
+#: The smallest partition a shrink may leave behind.
+MIN_PARTITION_BYTES = 4096
+#: Hard cap on declared bytes (resident + swapped), as a multiple of
+#: the server's physical partition space.
+OVERSUBSCRIPTION_RATIO = 2.0
+#: Compact when the fragmentation score falls below this.
+DEFRAG_THRESHOLD = 0.5
+
+
+def should_defrag(view: dict, want_bytes: int = 0) -> bool:
+    """Whether free space is stranded badly enough to compact.
+
+    ``view`` is the allocator's fragmentation view — at least
+    ``score`` (largest-carveable / unpartitioned bytes, 1.0 = one
+    perfect block), ``largest_carveable`` and ``bytes_unpartitioned``;
+    ``want_bytes`` is the partition size the caller is trying to place
+    (0 for a background sweep). True when the score is below
+    :data:`DEFRAG_THRESHOLD` (less than half the free bytes are
+    reachable by the largest possible carve) — or, when placing, when
+    the free bytes could hold the partition but no single gap can (the
+    precise moment compaction converts stranded capacity into an
+    admission). A pure function of its arguments, so replans are
+    deterministic.
+    """
+    if (want_bytes
+            and view["bytes_unpartitioned"] >= want_bytes
+            and view["largest_carveable"] < want_bytes):
+        return True
+    return view["score"] < DEFRAG_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -77,23 +106,16 @@ class _SwapImage:
 class ElasticMemoryEngine:
     """One server's elastic memory mechanics (DESIGN.md §14).
 
-    Constructed by :class:`~repro.core.server.GuardianServer` iff any
-    elastic knob is on; ``server.elastic`` is ``None`` otherwise. The
-    engine's passive hooks (:meth:`note_use`, :meth:`forget`) are pure
-    bookkeeping — they never charge a cycle — so a server with elastic
-    knobs enabled but no elastic operation invoked stays bit-identical
-    to stock (pinned by a hypothesis property).
+    Constructed by :class:`~repro.core.server.GuardianServer` iff
+    ``ServerConfig.elastic_memory`` is on; ``server.elastic`` is
+    ``None`` otherwise. The engine's passive hooks (:meth:`note_use`,
+    :meth:`forget`) are pure bookkeeping — they never charge a cycle —
+    so a server with the engine on but no elastic operation invoked
+    stays bit-identical to stock (pinned by a hypothesis property).
     """
 
     def __init__(self, server):
         self.server = server
-        config = server.config
-        self.shrink_enabled = config.enable_shrink
-        self.compaction_enabled = config.enable_compaction
-        self.oversubscription_enabled = config.enable_oversubscription
-        self.oversubscription_ratio = config.oversubscription_ratio
-        self.min_partition_bytes = config.min_partition_bytes
-        self.policy = defrag_policy(config.defrag_policy)
         #: app_id -> host-side image of a swapped-out partition.
         self._swapped: dict[str, _SwapImage] = {}
         #: app_id -> monotone recency tick (LRU victim picker input).
@@ -179,17 +201,13 @@ class ElasticMemoryEngine:
         eagerly invalidates the tenant's specialized traces, and
         charges one ``free``-class bounds write to the timeline.
         """
-        if not self.shrink_enabled:
-            raise GuardianError(
-                "partition shrink requires ServerConfig.enable_shrink"
-            )
         image = self._swapped.get(app_id)
         if image is not None:
             return image.size, 0.0
         server = self.server
         old_size = server.allocator.partition(app_id).size
         partition = server.allocator.shrink_partition(
-            app_id, self.min_partition_bytes
+            app_id, MIN_PARTITION_BYTES
         )
         if partition.size == old_size:
             return old_size, 0.0
@@ -208,8 +226,6 @@ class ElasticMemoryEngine:
     def shrink_sweep(self) -> int:
         """Shrink every resident tenant that can; returns bytes
         reclaimed. Deterministic order (sorted app_id)."""
-        if not self.shrink_enabled:
-            return 0
         reclaimed = 0
         allocator = self.server.allocator
         for app_id in sorted(p.app_id for p in allocator.partitions()):
@@ -230,10 +246,6 @@ class ElasticMemoryEngine:
         tenant sideways or up). The modelled copy cost — one PCIe-class
         pass over the partition — is charged as a serialization point.
         """
-        if not self.compaction_enabled:
-            raise GuardianError(
-                "compaction requires ServerConfig.enable_compaction"
-            )
         server = self.server
         if server.mode is not FencingMode.BITWISE:
             raise GuardianError(
@@ -266,20 +278,17 @@ class ElasticMemoryEngine:
         return new_base
 
     def defrag(self, want_bytes: int = 0) -> list[tuple[str, int, int]]:
-        """One policy-authorised compaction pass.
+        """One threshold-authorised compaction pass.
 
-        Consults the :class:`~repro.core.policy.DefragPolicy` against
-        the current fragmentation view (``want_bytes`` tells it what
+        Consults :func:`should_defrag` against the current
+        fragmentation view (``want_bytes`` tells it what
         the caller is trying to place); when authorised, compacts
         resident tenants highest-base-first — each move slides a
         tenant down, coalescing free space toward the top. Returns the
         executed moves as ``(app_id, old base, new base)``.
         """
         moves: list[tuple[str, int, int]] = []
-        if not self.compaction_enabled:
-            return moves
-        view = self.fragmentation()
-        if not self.policy.should_defrag(view, want_bytes):
+        if not should_defrag(self.fragmentation(), want_bytes):
             return moves
         server = self.server
         candidates = sorted(
@@ -322,10 +331,6 @@ class ElasticMemoryEngine:
         its stream, incarnation and identity survive; only the
         partition leaves the GPU. Returns the bytes swapped.
         """
-        if not self.oversubscription_enabled:
-            raise GuardianError(
-                "swap requires ServerConfig.enable_oversubscription"
-            )
         if app_id in self._swapped:
             return 0
         server = self.server
@@ -375,7 +380,7 @@ class ElasticMemoryEngine:
         """Swap a parked tenant back onto the GPU before it is used.
 
         Makes space if needed (shrink sweep, then colder victims swap
-        out, then a policy-authorised defrag), re-carves the partition
+        out, then a threshold-authorised defrag), re-carves the partition
         (fresh epoch at whatever base first-fit lands on), restores
         bytes + heap + modules, charges the PCIe read, refreshes
         recency and rebases the bound client. Returns the new base, or
@@ -413,13 +418,11 @@ class ElasticMemoryEngine:
     def _make_space(self, nbytes: int, exclude: frozenset) -> None:
         """Free enough GPU space to carve ``nbytes`` (best effort)."""
         allocator = self.server.allocator
-        if self.shrink_enabled:
-            self.shrink_sweep()
-        if self.oversubscription_enabled:
-            for victim in self._lru_victims(exclude):
-                if allocator.can_carve(nbytes):
-                    return
-                self.swap_out(victim)
+        self.shrink_sweep()
+        for victim in self._lru_victims(exclude):
+            if allocator.can_carve(nbytes):
+                return
+            self.swap_out(victim)
         if not allocator.can_carve(nbytes):
             self.defrag(want_bytes=self._rounded(nbytes))
 
@@ -433,10 +436,10 @@ class ElasticMemoryEngine:
         """Try to make an incoming ``max_bytes`` partition carveable.
 
         The admission ladder, cheapest rung first: (1) shrink every
-        over-provisioned resident, (2) policy-authorised compaction,
+        over-provisioned resident, (2) threshold-authorised compaction,
         (3) swap out LRU victims — but only while the declared total
         (resident + swapped + the newcomer) stays under the
-        ``oversubscription_ratio`` hard cap. Returns whether a carve
+        :data:`OVERSUBSCRIPTION_RATIO` hard cap. Returns whether a carve
         now fits; the caller retries the attach on True and sheds on
         False. Never touches anything when the carve already fits.
         """
@@ -446,24 +449,20 @@ class ElasticMemoryEngine:
         size = self._rounded(max_bytes)
         if allocator.can_carve(max_bytes):
             return True
-        if self.shrink_enabled:
-            self.shrink_sweep()
-            if allocator.can_carve(max_bytes):
-                return True
-        if self.compaction_enabled:
-            self.defrag(want_bytes=size)
-            if allocator.can_carve(max_bytes):
-                return True
-        if self.oversubscription_enabled:
-            cap = int(self.oversubscription_ratio * allocator.total_bytes)
-            if self.declared_bytes() + size <= cap:
-                for victim in self._lru_victims():
-                    if allocator.can_carve(max_bytes):
-                        break
-                    self.swap_out(victim)
-                if self.compaction_enabled \
-                        and not allocator.can_carve(max_bytes):
-                    self.defrag(want_bytes=size)
+        self.shrink_sweep()
+        if allocator.can_carve(max_bytes):
+            return True
+        self.defrag(want_bytes=size)
+        if allocator.can_carve(max_bytes):
+            return True
+        cap = int(OVERSUBSCRIPTION_RATIO * allocator.total_bytes)
+        if self.declared_bytes() + size <= cap:
+            for victim in self._lru_victims():
+                if allocator.can_carve(max_bytes):
+                    break
+                self.swap_out(victim)
+            if not allocator.can_carve(max_bytes):
+                self.defrag(want_bytes=size)
         return allocator.can_carve(max_bytes)
 
 
@@ -637,8 +636,10 @@ class ElasticClient(GpuBackend):
 
     def shrink_partition(self) -> int:
         """Request an opportunistic shrink; returns the (possibly
-        unchanged) partition size. Safe at any delta: narrowing the
-        mask only ever strips high bits the fence already owns."""
+        unchanged) partition size. Requires
+        ``ServerConfig.elastic_memory`` on the server. Safe at any
+        delta: narrowing the mask only ever strips high bits the fence
+        already owns."""
         return self._client().shrink_partition()
 
     def flush(self) -> int:

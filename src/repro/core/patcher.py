@@ -439,16 +439,19 @@ class ParallelPatcher:
         if not owner:
             patched_text, reports = pending.result()
             return PatchOutcome(patched_text, reports, "join")
+        # Every exit resolves the future and drops the in-flight entry:
+        # a failed patch *or* a failed insert (e.g. a disk write error)
+        # left behind would block every later joiner of this key.
         try:
             patched_text, reports = self.patcher.patch_text(ptx_text)
+            evicted = self.cache.put(
+                ptx_text, self.patcher.mode, patched_text, reports
+            )
         except BaseException as failure:
-            pending.set_exception(failure)
             with self._mutex:
                 self._inflight.pop(key, None)
+            pending.set_exception(failure)
             raise
-        evicted = self.cache.put(
-            ptx_text, self.patcher.mode, patched_text, reports
-        )
         with self._mutex:
             self.patches_run += 1
             self.evictions += evicted

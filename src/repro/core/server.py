@@ -33,10 +33,10 @@ every charge onto the calling tenant's *dispatch lane*: lane-local
 work (range checks, launch lookup/augment/syscall, driver work)
 advances only that tenant's lane clock, while host-side serialization
 points — bounds-table writes, allocator mutations, patch-cache
-misses — pass through one shared critical section arbitrated by a
-pluggable :class:`~repro.core.policy.LaneSchedulingPolicy`. Aggregate
-host makespan (:meth:`GuardianServer.makespan_cycles`) then becomes
-the critical path across lanes instead of the serial sum, and stream
+misses — pass through one shared critical section, granted first come
+first served. Aggregate host makespan
+(:meth:`GuardianServer.makespan_cycles`) then becomes the critical
+path across lanes instead of the serial sum, and stream
 releases are driven by the lane clock, so independent tenants' device
 work overlaps. ``stats.cycles`` keeps its serial meaning — total work,
 which with the knob off (the default) is also the makespan — so all
@@ -74,7 +74,7 @@ from repro.core.tracecache import (
     launch_signature,
     memset_signature,
 )
-from repro.core.policy import FencingMode, lane_scheduling_policy
+from repro.core.policy import FencingMode
 from repro.driver.api import DriverAPI
 from repro.driver.fatbin import FatBinary, cuobjdump
 from repro.gpu.allocator import FirstFitAllocator
@@ -165,13 +165,12 @@ class ServerConfig:
     - ``concurrency``: per-tenant dispatch lanes with overlap-aware
       cycle accounting (module docstring, DESIGN.md §7). ``stats``
       totals are unchanged; :meth:`GuardianServer.makespan_cycles` and
-      stream release instants become lane-local.
-    - ``lane_policy``: which tenant's lane enters the shared critical
-      section first at each ordering point (``"fifo"`` or ``"fair"``,
-      resolved by :func:`~repro.core.policy.lane_scheduling_policy`).
-      Cold-PTX patching runs on a :data:`PATCH_WORKERS`-thread pool;
-      single-flight dedup means concurrent same-hash misses still run
-      (and charge) exactly one patch.
+      stream release instants become lane-local. A lane enters the
+      shared critical section as soon as both the lane and the section
+      are free (first come, first served). Cold-PTX patching runs on a
+      :data:`PATCH_WORKERS`-thread pool; single-flight dedup means
+      concurrent same-hash misses still run (and charge) exactly one
+      patch.
     - ``coalesce_transfer_checks``: contiguous chunked
       ``memcpy_*``/``memset`` ranges collapse into one charged
       ``_check_range`` per run (the containment predicate itself is
@@ -208,19 +207,15 @@ class ServerConfig:
       (default — the producer stalls, hardware-ring backpressure) or
       sheds the call (:class:`~repro.errors.QueueSaturated`). ``None``
       keeps the queue unbounded and both paths dead code.
-    - ``enable_shrink`` / ``enable_compaction`` /
-      ``enable_oversubscription``: the elastic memory engine
+    - ``elastic_memory``: the elastic memory engine
       (:mod:`repro.core.elastic`, DESIGN.md §14) — buddy-half shrink of
-      over-provisioned partitions, policy-driven intra-node compaction
-      reusing the migration machinery, and swap-to-host
-      oversubscription with modelled PCIe costs. With all three off
-      (the default) no engine is constructed and the server is the
-      stock server. ``oversubscription_ratio`` hard-caps total declared
-      bytes (resident + swapped) at that multiple of physical capacity;
-      ``defrag_policy`` selects the
-      :class:`~repro.core.policy.DefragPolicy` (``"threshold"`` defrags
-      below a fragmentation score of 0.5);
-      ``min_partition_bytes`` floors how far a shrink may go.
+      over-provisioned partitions, threshold-triggered intra-node
+      compaction reusing the migration machinery, and swap-to-host
+      oversubscription with modelled PCIe costs, always all three
+      together. Off (the default), no engine is constructed and the
+      server is the stock server. The shrink floor, the defrag
+      threshold and the oversubscription cap are constants of that
+      module.
     """
 
     enable_patch_cache: bool = False
@@ -228,7 +223,6 @@ class ServerConfig:
     enable_ipc_batching: bool = False
     charge_patch_cycles: bool = False
     concurrency: bool = False
-    lane_policy: str = "fifo"
     coalesce_transfer_checks: bool = False
     telemetry: bool = False
     enable_trace_specialization: bool = False
@@ -236,12 +230,7 @@ class ServerConfig:
     max_resident_tenants: Optional[int] = None
     ipc_queue_limit: Optional[int] = None
     ipc_shed_overflow: bool = False
-    enable_shrink: bool = False
-    enable_compaction: bool = False
-    enable_oversubscription: bool = False
-    oversubscription_ratio: float = 2.0
-    defrag_policy: str = "threshold"
-    min_partition_bytes: int = 4096
+    elastic_memory: bool = False
 
     @classmethod
     def hotpath(cls, **overrides) -> "ServerConfig":
@@ -271,14 +260,8 @@ class ServerConfig:
 
     @classmethod
     def elastic(cls, **overrides) -> "ServerConfig":
-        """All three elastic memory mechanisms on (DESIGN.md §14)."""
-        values = dict(
-            enable_shrink=True,
-            enable_compaction=True,
-            enable_oversubscription=True,
-        )
-        values.update(overrides)
-        return cls(**values)
+        """The elastic memory engine on (DESIGN.md §14)."""
+        return cls(**{"elastic_memory": True, **overrides})
 
 
 @dataclass
@@ -328,7 +311,7 @@ class ServerStats:
     patch_disk_writes: int = 0
     # Bounded-admission counter (zero unless max_resident_tenants set).
     admissions_rejected: int = 0
-    # Elastic memory counters (zero unless an elastic knob is on).
+    # Elastic memory counters (zero unless elastic_memory is on).
     partitions_shrunk: int = 0
     bytes_reclaimed: int = 0
     tenants_compacted: int = 0
@@ -491,7 +474,6 @@ class GuardianServer:
         self._clock_ratio = device.spec.clock_ghz / CPU_GHZ
         # Concurrent-dispatch state (inert while the knob is off).
         self._concurrent = self.config.concurrency
-        self._lane_policy = lane_scheduling_policy(self.config.lane_policy)
         self._lanes: dict[str, _Lane] = {}
         self._retired_lanes: list[_Lane] = []
         self._active_lane: Optional[_Lane] = None
@@ -530,12 +512,10 @@ class GuardianServer:
         self._tenants: dict[str, _Tenant] = {}
         #: app_id -> attach generation (see _Tenant.incarnation).
         self._incarnations: dict[str, int] = {}
-        # The elastic memory engine (None = all elastic knobs off, the
-        # stock server). Constructed last: the engine reads the
-        # allocator and telemetry attributes above.
-        if (self.config.enable_shrink
-                or self.config.enable_compaction
-                or self.config.enable_oversubscription):
+        # The elastic memory engine (None = knob off, the stock server).
+        # Constructed last: the engine reads the allocator and
+        # telemetry attributes above.
+        if self.config.elastic_memory:
             from repro.core.elastic import ElasticMemoryEngine
 
             self.elastic: Optional[ElasticMemoryEngine] = (
@@ -579,40 +559,16 @@ class GuardianServer:
             # Recency bookkeeping only (never charged): a tenant that
             # never launches still has a well-defined LRU age.
             self.elastic.note_use(app_id)
-        if self._concurrent:
-            # A fresh lane starts at the critical clock: attaching is a
-            # bounds-table write, so the newcomer orders after whatever
-            # serialized work is already in flight.
-            self._lanes[app_id] = _Lane(
-                app_id=app_id, clock=self._critical_clock
-            )
-            self._active_lane = self._lanes[app_id]
+        self._open_lane(app_id)
         return None, self.costs.dispatch
 
     def detach(self, app_id: str):
         """Tear a tenant down: drain and destroy its stream, drop its
-        module/function handles, release its partition."""
+        module/function handles, release its partition. Detaching a
+        tenant that is not attached is a no-op."""
         self._enter(app_id)
-        if self.trace_engine is not None:
-            self.trace_engine.forget(app_id)
-        if self.elastic is not None:
-            self.elastic.forget(app_id)
-        tenant = self._tenants.pop(app_id, None)
-        if tenant is not None:
-            # Submitted work keeps its functional effects (the deferred
-            # timeline model); the drain records what the detach waited
-            # on, then the stream's driver state is freed.
-            self.stats.sync_drained_tasks += self.driver.cuStreamSynchronize(
-                tenant.stream
-            )
-            self.driver.cuStreamDestroy(self.context, tenant.stream)
-            self.stats.streams_destroyed += 1
-            tenant.functions.clear()
-            tenant.patch_reports.clear()
-            tenant.modules.clear()
-            tenant.fast_launch = None
-        self.allocator.release_partition(app_id)
-        self._retire_lane(app_id)
+        if app_id in self._tenants:
+            self._teardown_tenant(app_id, scrub=False)
         return None, self.costs.dispatch
 
     def grow_partition(self, app_id: str, new_max_bytes: int):
@@ -648,9 +604,9 @@ class GuardianServer:
         """
         self._enter(app_id)
         self._tenant(app_id)  # must be attached
-        if self.elastic is None or not self.config.enable_shrink:
+        if self.elastic is None:
             raise GuardianError(
-                "partition shrink requires ServerConfig.enable_shrink"
+                "partition shrink requires ServerConfig.elastic_memory"
             )
         return self.elastic.shrink(app_id)
 
@@ -1243,7 +1199,7 @@ class GuardianServer:
         return scrubbed
 
     def _teardown_tenant(self, app_id: str, scrub: bool) -> int:
-        """Shared eviction mechanics of quarantine and evacuate: drain
+        """Shared teardown of detach, quarantine and evacuate: drain
         and destroy the stream, drop handles/memos, release (and
         optionally scrub) the partition, retire the lane. Returns the
         bytes scrubbed (0 when ``scrub`` is off)."""
@@ -1259,6 +1215,9 @@ class GuardianServer:
         if self.elastic is not None:
             self.elastic.forget(app_id)
         tenant = self._tenants.pop(app_id)
+        # Submitted work keeps its functional effects (the deferred
+        # timeline model); the drain records what the teardown waited
+        # on, then the stream's driver state is freed.
         self.stats.sync_drained_tasks += self.driver.cuStreamSynchronize(
             tenant.stream
         )
@@ -1365,16 +1324,24 @@ class GuardianServer:
             incarnation=self._next_incarnation(snapshot.app_id),
         )
         tenant.handle_counter = itertools.count(snapshot.next_handle)
-        for image in snapshot.modules:
-            self._restore_module(tenant, partition, image)
+        try:
+            for image in snapshot.modules:
+                self._restore_module(tenant, partition, image)
+        except BaseException:
+            # A failed replay leaves nothing behind: no orphan partition
+            # under the name (a retry could never carve it), and none
+            # of the tenant's bytes in the region it hands back.
+            self.driver.cuStreamDestroy(self.context, tenant.stream)
+            self.allocator.release_partition(
+                snapshot.app_id,
+                scrubber=lambda base, size: self.device.memory.fill(
+                    base, size, 0),
+            )
+            raise
         self._tenants[snapshot.app_id] = tenant
         if self.elastic is not None:
             self.elastic.note_use(snapshot.app_id)
-        if self._concurrent:
-            self._lanes[snapshot.app_id] = _Lane(
-                app_id=snapshot.app_id, clock=self._critical_clock
-            )
-            self._active_lane = self._lanes[snapshot.app_id]
+        self._open_lane(snapshot.app_id)
         self.stats.tenants_migrated_in += 1
         return partition.base
 
@@ -1452,10 +1419,11 @@ class GuardianServer:
         a smaller ``cycles`` span (the pool's critical path), so
         ``stats.cycles`` conserves work while the lane clock advances
         by wall time. ``critical`` charges route through the shared
-        critical section: the active lane first waits for the grant
-        instant the scheduling policy picks, then occupies the section
-        for ``cycles`` — that's how bounds writes, allocator mutations
-        and patch-cache misses serialize across lanes.
+        critical section: the active lane first waits until both it
+        and the section are free (first come, first served), then
+        occupies the section for ``cycles`` — that's how bounds writes,
+        allocator mutations and patch-cache misses serialize across
+        lanes.
         """
         work_cycles = cycles if work is None else work
         self.stats.cycles += work_cycles
@@ -1464,13 +1432,7 @@ class GuardianServer:
         if lane is not None:
             lane.busy += work_cycles
             if critical:
-                start = max(
-                    lane.clock,
-                    self._critical_clock,
-                    self._lane_policy.grant(
-                        lane, self._lanes, self._critical_clock
-                    ),
-                )
+                start = max(lane.clock, self._critical_clock)
                 stalled = start - lane.clock
                 lane.stalled += stalled
                 lane.clock = start + cycles
@@ -1530,6 +1492,15 @@ class GuardianServer:
     def lane_view(self, app_id: str) -> Optional[_Lane]:
         """The tenant's live lane, or None (serial mode / retired)."""
         return self._lanes.get(app_id)
+
+    def _open_lane(self, app_id: str) -> None:
+        """Give an arriving tenant (attach or restore) its lane. A fresh
+        lane starts at the critical clock: arriving is a bounds-table
+        write, so the newcomer orders after whatever serialized work is
+        already in flight. A no-op in serial mode."""
+        if self._concurrent:
+            lane = _Lane(app_id=app_id, clock=self._critical_clock)
+            self._lanes[app_id] = self._active_lane = lane
 
     def _retire_lane(self, app_id: str) -> None:
         """Fold a departing tenant's lane into the retired set and drop

@@ -22,17 +22,13 @@ from repro.analysis.metrics import collect_hotpath, collect_lanes
 from repro.analysis.reporting import render_lane_report
 from repro.core.ipc import IPCChannel, IPCStats
 from repro.core.patcher import (
+    DiskPatchCache,
     ParallelPatcher,
     PTXPatcher,
     ThreadSafePatchCache,
 )
-from repro.core.policy import (
-    FairShareLanePolicy,
-    FencingMode,
-    FifoLanePolicy,
-    lane_scheduling_policy,
-)
-from repro.core.server import GuardianServer, ServerConfig, _Lane
+from repro.core.policy import FencingMode
+from repro.core.server import GuardianServer, ServerConfig
 from repro.errors import BoundsViolation, PartitionError
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
@@ -75,7 +71,6 @@ class TestSerialBitIdentity:
         stock = run_workload(ServerConfig())
         spelled = run_workload(ServerConfig(
             concurrency=False,
-            lane_policy="fifo",
             coalesce_transfer_checks=False,
         ))
         assert spelled.stats == stock.stats
@@ -289,6 +284,40 @@ class TestParallelPatching:
         assert patcher.patches_run == 1
         assert sum(1 for o in outcomes if o.source == "patched") == 1
 
+    def test_failed_cache_write_leaves_no_stale_flight(self, tmp_path,
+                                                       monkeypatch):
+        """A cache insert that raises (here: the disk write) must still
+        resolve the in-flight future. Otherwise, once the text leaves
+        the in-memory LRU, every later patch of it joins a future that
+        never completes."""
+        cache = DiskPatchCache(str(tmp_path), capacity=1)
+        patcher = ParallelPatcher(PTXPatcher(FencingMode.BITWISE),
+                                  cache=cache)
+        store = cache._store
+        failures = [OSError("disk full")]
+
+        def store_failing_once(*args):
+            if failures:
+                raise failures.pop()
+            store(*args)
+
+        monkeypatch.setattr(cache, "_store", store_failing_once)
+        base = emit_module(saxpy_module())
+        first, other = base + "\n// a\n", base + "\n// b\n"
+        with pytest.raises(OSError, match="disk full"):
+            patcher.patch(first)
+        patcher.patch(other)  # evicts ``first`` from the memory tier
+        outcomes = []
+        retry = threading.Thread(
+            target=lambda: outcomes.append(patcher.patch(first)),
+            daemon=True,
+        )
+        retry.start()
+        retry.join(timeout=10)
+        assert not retry.is_alive(), "re-patch joined a stale flight"
+        assert [o.source for o in outcomes] == ["patched"]
+        assert patcher._inflight == {}
+
 
 class TestLaneQuarantine:
     def test_quarantine_drains_one_lane_not_the_world(self):
@@ -326,39 +355,23 @@ class TestLaneQuarantine:
 
 
 class TestLanePolicies:
-    def test_factory_resolves_names_and_aliases(self):
-        assert isinstance(lane_scheduling_policy("fifo"), FifoLanePolicy)
-        assert isinstance(lane_scheduling_policy("fair"),
-                          FairShareLanePolicy)
-        assert isinstance(lane_scheduling_policy("fair-share"),
-                          FairShareLanePolicy)
-        with pytest.raises(ValueError):
-            lane_scheduling_policy("round-robin")
-
     def test_fifo_grants_as_soon_as_both_are_free(self):
-        lane = _Lane(app_id="a", clock=100.0, critical=5_000.0)
-        assert FifoLanePolicy().grant(lane, {"a": lane}, 250.0) == 250.0
-
-    def test_fair_share_throttles_the_section_hog(self):
-        hog = _Lane(app_id="hog", clock=100.0, critical=10_000.0)
-        meek = _Lane(app_id="meek", clock=100.0, critical=0.0)
-        lanes = {"hog": hog, "meek": meek}
-        policy = FairShareLanePolicy()
-        assert policy.grant(hog, lanes, 250.0) == 20_000.0
-        assert policy.grant(meek, lanes, 250.0) == 250.0
-
-    def test_fair_policy_still_conserves_work(self):
-        server = run_workload(
-            ServerConfig.concurrent(lane_policy="fair"), tenants=4
-        )
-        assert sum(lane.busy for lane in server.lanes()) == pytest.approx(
-            server.stats.cycles
-        )
-        assert server.makespan_cycles() < server.stats.cycles
-
-    def test_unknown_policy_rejected_at_server_construction(self):
-        with pytest.raises(ValueError):
-            make_server(ServerConfig(lane_policy="round-robin"))
+        """A critical charge starts at ``max(lane clock, section
+        clock)``, however much section time the lane has used before."""
+        server = make_server(ServerConfig.concurrent())
+        server.attach("a", PARTITION)
+        lane = server.lane_view("a")
+        lane.clock, lane.critical = 100.0, 5_000.0
+        server._critical_clock = 250.0
+        server._enter("a")
+        server._charge(50.0, critical=True)
+        assert lane.stalled == 150.0
+        assert lane.clock == server._critical_clock == 300.0
+        # A lane that is already past the section clock never stalls.
+        lane.clock = 1_000.0
+        server._charge(50.0, critical=True)
+        assert lane.stalled == 150.0
+        assert lane.clock == 1_050.0
 
 
 class TestSnapshotReads:

@@ -1,14 +1,22 @@
 """GuardianServer tests (paper §4.2)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.errors import BoundsViolation, GuardianError, LaunchError
+from repro.errors import (
+    BoundsViolation,
+    GuardianError,
+    LaunchError,
+    PTXParseError,
+)
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer
 from repro.driver.fatbin import build_fatbin
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.ptx.emitter import emit_module
 
 from tests.conftest import attack_module, saxpy_module
 
@@ -365,6 +373,27 @@ class TestSnapshotRestore:
         from repro.errors import MigrationError
         with pytest.raises(MigrationError, match="fenced"):
             peer.restore_tenant(snapshot)
+
+    def test_failed_restore_leaves_nothing_behind(self, server):
+        attach(server, "alice")
+        server.load_module_ptx("alice", emit_module(saxpy_module()))
+        snapshot = server.snapshot_tenant("alice")
+        broken = dataclasses.replace(snapshot, modules=(
+            dataclasses.replace(snapshot.modules[0],
+                                patched_text="not ptx"),
+        ))
+        peer = GuardianServer(Device(QUADRO_RTX_A4000),
+                              FencingMode.BITWISE)
+        free = peer.allocator.bytes_unpartitioned
+        with pytest.raises(PTXParseError):
+            peer.restore_tenant(broken)
+        assert peer.tenant_count == 0
+        assert peer.allocator.bytes_unpartitioned == free
+        assert peer.device.memory.read(
+            peer.allocator.base, snapshot.size) == bytes(snapshot.size)
+        # The name is free again: an intact snapshot restores.
+        peer.restore_tenant(snapshot)
+        assert peer.tenant_count == 1
 
     def test_restore_refuses_double_attach(self, server):
         attach(server, "alice")

@@ -18,7 +18,6 @@ DEFAULTS = {
     "enable_ipc_batching": False,
     "charge_patch_cycles": False,
     "concurrency": False,
-    "lane_policy": "fifo",
     "coalesce_transfer_checks": False,
     "telemetry": False,
     "enable_trace_specialization": False,
@@ -26,12 +25,7 @@ DEFAULTS = {
     "max_resident_tenants": None,
     "ipc_queue_limit": None,
     "ipc_shed_overflow": False,
-    "enable_shrink": False,
-    "enable_compaction": False,
-    "enable_oversubscription": False,
-    "oversubscription_ratio": 2.0,
-    "defrag_policy": "threshold",
-    "min_partition_bytes": 4096,
+    "elastic_memory": False,
 }
 
 HOTPATH = {"enable_patch_cache", "enable_launch_fast_path",
@@ -42,13 +36,12 @@ PRESETS = {
     "hotpath": HOTPATH,
     "concurrent": HOTPATH | {"concurrency", "coalesce_transfer_checks"},
     "traced": HOTPATH | {"enable_trace_specialization"},
-    "elastic": {"enable_shrink", "enable_compaction",
-                "enable_oversubscription"},
+    "elastic": {"elastic_memory"},
 }
 
 
 def test_knob_count_is_pinned():
-    assert len(dataclasses.fields(ServerConfig)) == 19
+    assert len(dataclasses.fields(ServerConfig)) == 13
 
 
 def test_defaults_are_pinned():
@@ -64,6 +57,6 @@ def test_preset_values_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_overrides_win(name):
     config = getattr(ServerConfig, name)(enable_patch_cache=False,
-                                         lane_policy="fair")
+                                         max_resident_tenants=3)
     assert not config.enable_patch_cache
-    assert config.lane_policy == "fair"
+    assert config.max_resident_tenants == 3

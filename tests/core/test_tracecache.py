@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import elastic
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
 from repro.core.tracecache import HOT_THRESHOLD
@@ -331,9 +332,8 @@ class TestElasticInvalidation:
     against a stale base, mask, or stream."""
 
     @staticmethod
-    def _elastic_traced(**overrides):
-        return traced_server(enable_shrink=True, enable_compaction=True,
-                             enable_oversubscription=True, **overrides)
+    def _elastic_traced():
+        return traced_server(elastic_memory=True)
 
     def test_shrink_invalidates_eagerly_then_reheats(self):
         server = self._elastic_traced()
@@ -350,8 +350,9 @@ class TestElasticInvalidation:
         assert server.stats.traces_compiled == 2
         assert server.stats.trace_replays == 1
 
-    def test_noop_shrink_keeps_the_trace(self):
-        server = self._elastic_traced(min_partition_bytes=1 << 20)
+    def test_noop_shrink_keeps_the_trace(self, monkeypatch):
+        monkeypatch.setattr(elastic, "MIN_PARTITION_BYTES", 1 << 20)
+        server = self._elastic_traced()
         handle, buf = deploy(server)
         heat(server, "alice", handle, buf)
         new_size, _ = server.shrink_partition("alice")
@@ -420,8 +421,7 @@ class TestMidBlockMutation:
         _grow, _shrink, _compact, _swap, _quarantine,
     ], ids=["grow", "shrink", "compaction", "swap_out", "quarantine"])
     def test_rest_of_block_is_interpreted_and_checked(self, mutate):
-        server = traced_server(enable_shrink=True, enable_compaction=True,
-                               enable_oversubscription=True)
+        server = traced_server(elastic_memory=True)
         # A 2 MiB pad below leaves alice the low buddy of a free 2 MiB
         # pair (so she can grow) and opens a lower hole once detached
         # (so she can be compacted).
